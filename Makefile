@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check lint lint-fix golden check bench bench-baseline bench-check report sweep-demo clean
+.PHONY: all build test race vet fmt-check lint lint-fix golden check bench report sweep-demo clean
 
 all: check
 
@@ -38,28 +38,18 @@ lint-fix:
 	$(GO) run ./cmd/hcclint -baseline lint.baseline -fix ./...
 
 # Byte-identity gate for the protection-mode layer: every committed figure
-# golden, plus the cross-mode spelling-equivalence tests (off/tdx-h100
-# named modes vs the deprecated CC boolean must simulate identically).
+# golden, plus the spelling-equivalence tests (every mode alias, and the
+# empty mode for off, must simulate identically to the canonical name).
 golden:
 	$(GO) test ./internal/figures -run 'Golden|ModeSpelling' -count=1
 
 check: fmt-check vet lint golden race
 
+# One pass over the per-figure testing.B benchmarks. The performance
+# benchmark with spreads and per-layer breakdown is hccperf:
+# bash hccperf/run.sh --workload campaign|serve|sweep.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
-
-# The committed performance baseline the regression gate compares against.
-BENCH_BASELINE ?= BENCH_2026-08-09.json
-
-# Refresh the committed baseline on a quiet machine (commit the result).
-bench-baseline:
-	$(GO) run ./cmd/hccbench -json -o $(BENCH_BASELINE)
-
-# Regression gate: rerun the suite and fail on >10% loss of events/sec or
-# figure wall-clock vs the committed baseline. Wall-clock sensitive — CI
-# runs it as a separate non-blocking job.
-bench-check:
-	$(GO) run ./cmd/hccbench -json -compare $(BENCH_BASELINE)
 
 report:
 	$(GO) run ./cmd/hccreport
@@ -67,7 +57,7 @@ report:
 # A small grid sweep exercising the worker pool and the on-disk cache; run
 # it twice to see the warm-cache path skip every simulation.
 sweep-demo:
-	$(GO) run ./cmd/hccsweep -workloads 2dconv,gemm,sc -modes cc,base \
+	$(GO) run ./cmd/hccsweep -workloads 2dconv,gemm,sc -modes off,tdx-h100 \
 		-param PCIeGBps=8,16,32,64 -parallel 8 -cache .hcccache
 
 clean:

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"hccsim/internal/cuda"
 	"hccsim/internal/figures"
 	"hccsim/internal/nn"
 	"hccsim/internal/swcrypto"
@@ -120,7 +121,7 @@ func BenchmarkAblationBounceBuffer(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var elapsed time.Duration
 			for i := 0; i < b.N; i++ {
-				sys := NewSystem(DefaultConfig(cc))
+				sys := NewSystem(cuda.DefaultConfig(cc))
 				elapsed = sys.Run(func(c *Context) {
 					h := c.MallocHost("h", 256<<20)
 					d := c.Malloc("d", 256<<20)
@@ -138,7 +139,7 @@ func BenchmarkAblationBounceBuffer(b *testing.B) {
 func BenchmarkAblationUVMBatch(b *testing.B) {
 	for _, pages := range []int{1, 2, 8, 32} {
 		b.Run("pages-"+strconv.Itoa(pages), func(b *testing.B) {
-			cfg := DefaultConfig(true)
+			cfg := cuda.DefaultConfig(true)
 			cfg.UVM.BatchPagesCC = pages
 			var elapsed time.Duration
 			for i := 0; i < b.N; i++ {
@@ -161,7 +162,7 @@ func BenchmarkAblationUVMBatch(b *testing.B) {
 func BenchmarkAblationCryptoChoice(b *testing.B) {
 	for _, alg := range []swcrypto.Algorithm{swcrypto.AES128GCM, swcrypto.AES256GCM, swcrypto.GHASHAlg} {
 		b.Run(string(alg), func(b *testing.B) {
-			cfg := DefaultConfig(true)
+			cfg := cuda.DefaultConfig(true)
 			cfg.TDX.CryptoAlg = alg
 			var elapsed time.Duration
 			for i := 0; i < b.N; i++ {
@@ -183,7 +184,7 @@ func BenchmarkAblationCryptoChoice(b *testing.B) {
 func BenchmarkAblationFenceInterval(b *testing.B) {
 	for _, iv := range []int{8, 24, 48, 96} {
 		b.Run("every-"+strconv.Itoa(iv), func(b *testing.B) {
-			cfg := DefaultConfig(true)
+			cfg := cuda.DefaultConfig(true)
 			cfg.Host.FenceInterval = iv
 			var elapsed time.Duration
 			for i := 0; i < b.N; i++ {
@@ -218,12 +219,12 @@ func BenchmarkCNNIteration(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		nn.TrainSimulate(nn.TrainConfig{Model: m, Batch: 64, Precision: nn.FP32, CC: true})
+		nn.TrainSimulate(nn.TrainConfig{Model: m, Batch: 64, Precision: nn.FP32, Mode: "tdx-h100"})
 	}
 }
 
 func BenchmarkLLMStep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		nn.LLMSimulate(nn.LLMConfig{Backend: nn.VLLM, Quant: nn.BF16, Batch: 32, CC: true})
+		nn.LLMSimulate(nn.LLMConfig{Backend: nn.VLLM, Quant: nn.BF16, Batch: 32, Mode: "tdx-h100"})
 	}
 }

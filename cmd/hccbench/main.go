@@ -2,23 +2,15 @@
 // simulator. Run with no arguments to list figures; pass figure ids (or
 // "all") to generate them; -csv emits CSV instead of aligned text.
 //
-// It is also the performance-baseline harness: -json runs the benchmark
-// suite (engine microbenchmarks plus the full figure campaign) and writes a
-// BENCH_<date>.json baseline, and -compare checks a fresh run against a
-// committed baseline, exiting non-zero on a >10% regression of events/sec
-// or figure wall-clock (the `make bench-check` CI gate).
-//
 // -cpuprofile, -memprofile and -trace capture pprof/trace output around
-// whatever work the invocation does, figure generation and baseline runs
-// alike.
+// the figure generation. The repository's performance benchmark is
+// hccperf (bash hccperf/run.sh).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"time"
 
 	"hccsim/internal/bench"
 	"hccsim/internal/figures"
@@ -26,15 +18,12 @@ import (
 
 func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned text")
-	jsonMode := flag.Bool("json", false, "run the benchmark suite and write a BENCH_<date>.json baseline")
-	out := flag.String("o", "", "baseline output path (default BENCH_<date>.json; with -compare, no file unless set)")
-	compare := flag.String("compare", "", "baseline JSON to compare the suite run against; exit 1 on >tolerance regression")
-	tol := flag.Float64("tolerance", bench.DefaultTolerance, "fractional regression tolerance for -compare")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool size for figure generation")
-	prof := profileFlags()
+	var prof bench.ProfileConfig
+	flag.StringVar(&prof.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
+	flag.StringVar(&prof.MemProfile, "memprofile", "", "write a pprof heap profile to this file")
+	flag.StringVar(&prof.Trace, "trace", "", "write a runtime execution trace to this file")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: hccbench [-csv] <figure-id>... | all\n"+
-			"       hccbench -json [-o FILE] [-compare BASELINE [-tolerance F]]\n\nfigures:\n")
+		fmt.Fprintf(os.Stderr, "usage: hccbench [-csv] <figure-id>... | all\n\nfigures:\n")
 		for _, id := range figures.IDs() {
 			fmt.Fprintf(os.Stderr, "  %-13s %s\n", id, figures.Describe(id))
 		}
@@ -45,19 +34,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	code := 0
-	if *jsonMode || *compare != "" {
-		code = runSuite(*parallel, *out, *compare, *tol)
-	} else {
-		code = runFigures(flag.Args(), *csv)
-	}
+	code := runFigures(flag.Args(), *csv)
 	if err := stopProf(); err != nil {
 		fatal(err)
 	}
 	os.Exit(code)
 }
 
-// runFigures is the classic mode: generate and print the requested figures.
+// runFigures generates and prints the requested figures.
 func runFigures(args []string, csv bool) int {
 	if len(args) == 0 {
 		flag.Usage()
@@ -82,73 +66,6 @@ func runFigures(args []string, csv bool) int {
 		fmt.Println(table.String())
 	}
 	return 0
-}
-
-// runSuite collects a fresh baseline and, depending on flags, writes it
-// and/or compares it against a committed one.
-func runSuite(parallel int, out, compare string, tol float64) int {
-	date := time.Now().Format("2006-01-02")
-	fmt.Fprintln(os.Stderr, "hccbench: running benchmark suite...")
-	cur, err := bench.Collect(parallel, date)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	for _, m := range cur.Metrics {
-		fmt.Fprintf(os.Stderr, "  %-22s %14.0f %s\n", m.Name, m.Value, m.Unit)
-	}
-
-	// Write the baseline when asked: -o always; bare -json defaults the
-	// path; -compare without -o is a pure check and writes nothing.
-	if out == "" && compare == "" {
-		out = "BENCH_" + date + ".json"
-	}
-	if out != "" {
-		if err := bench.WriteFile(out, cur); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "hccbench: wrote %s\n", out)
-	}
-
-	if compare == "" {
-		return 0
-	}
-	base, err := bench.ReadFile(compare)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	deltas, err := bench.Compare(base, cur, tol)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	fmt.Fprintf(os.Stderr, "hccbench: vs %s (%s, tolerance %.0f%%):\n", compare, base.Date, 100*tol)
-	for _, d := range deltas {
-		mark := "ok"
-		if d.Regressed {
-			mark = "REGRESSED"
-		}
-		fmt.Fprintf(os.Stderr, "  %-22s %14.0f -> %14.0f %-11s %+6.1f%%  %s\n",
-			d.Name, d.Old, d.New, d.Unit, 100*d.Change, mark)
-	}
-	if regs := bench.Regressions(deltas); len(regs) > 0 {
-		fmt.Fprintf(os.Stderr, "hccbench: FAIL: %d metric(s) regressed beyond %.0f%%\n", len(regs), 100*tol)
-		return 1
-	}
-	fmt.Fprintln(os.Stderr, "hccbench: PASS: no regressions")
-	return 0
-}
-
-// profileFlags registers the shared profiling flags and returns the config
-// they fill in after flag.Parse.
-func profileFlags() *bench.ProfileConfig {
-	var c bench.ProfileConfig
-	flag.StringVar(&c.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
-	flag.StringVar(&c.MemProfile, "memprofile", "", "write a pprof heap profile to this file")
-	flag.StringVar(&c.Trace, "trace", "", "write a runtime execution trace to this file")
-	return &c
 }
 
 func fatal(err error) {

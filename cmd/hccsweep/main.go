@@ -1,25 +1,26 @@
 // Command hccsweep runs grid sweeps of the simulator through the
 // internal/batch worker pool: a cross product of applications (benchmark
-// workloads, CNN training cells, LLM serving cells, or whole figures), CC
-// modes, and named configuration-parameter values, executed concurrently
-// with content-addressed result caching. Results are deterministic — the
-// output is byte-identical at any -parallel level, and a warm cache skips
-// re-simulation entirely.
+// workloads, CNN training cells, LLM serving cells, or whole figures),
+// protection modes, and named configuration-parameter values, executed
+// concurrently with content-addressed result caching. Results are
+// deterministic — the output is byte-identical at any -parallel level, and
+// a warm cache skips re-simulation entirely.
 //
 // Example — the Fig. 5 transfer crossover as a PCIe-bandwidth grid:
 //
-//	hccsweep -workloads 2dconv,gemm,sc -modes cc,base \
+//	hccsweep -workloads 2dconv,gemm,sc -modes off,tdx-h100 \
 //	    -param PCIeGBps=8,16,32,64 -parallel 8 -cache .hcccache
 //
-// Protection modes are a sweep axis too, either via -modes with mode names
-// or as a cc.mode grid axis:
+// Protection modes are a sweep axis too, either via -modes or as a cc.mode
+// grid axis:
 //
 //	hccsweep -workloads gemm,atax -param cc.mode=off,tdx-h100,tee-io-bridge
 //
 // Hardware platforms are an axis as well, via -platforms or the hw.platform
 // grid axis — each named platform swaps in a full calibration profile:
 //
-//	hccsweep -workloads gemm,2dconv -param hw.platform=h100-tdx,b300-bridge
+//	hccsweep -workloads gemm,2dconv -modes off,tee-io-bridge \
+//	    -param hw.platform=h100-tdx,b300-bridge
 package main
 
 import (
@@ -63,7 +64,7 @@ func main() {
 	llms := flag.String("llm", "", "LLM cells backend:quant:batch, comma list (e.g. vllm:awq:8)")
 	serves := flag.String("serve", "", "serving-traffic cells backend:quant:rateQPS, comma list (e.g. vllm:bf16:1.4); sweep rates with -param serve.rate=...")
 	uvm := flag.Bool("uvm", false, "also sweep the UVM variant of UVM-capable workloads")
-	modes := flag.String("modes", "cc,base", "comma list of cc, base, or protection-mode names (off, tdx-h100, tee-io-direct, tee-io-bridge, optionally +pipelined)")
+	modes := flag.String("modes", "off,tdx-h100", "comma list of protection-mode names (off, tdx-h100, tee-io-direct, tee-io-bridge, optionally +pipelined)")
 	platforms := flag.String("platforms", "", "comma list of hardware-platform names (see hw.platform axis); sweeps every job across each platform")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool size (1 = serial)")
 	cacheDir := flag.String("cache", "", "on-disk result cache directory (empty = in-memory only)")
@@ -178,7 +179,7 @@ func parsePlatforms(s string, axes []batch.Axis) ([]string, error) {
 
 // buildJobs expands the app/mode/platform/parameter axes into the job grid.
 func buildJobs(apps, cnns, llms, serves string, uvm bool, modes string, platforms []string, axes []batch.Axis) ([]batch.Job, error) {
-	ccModes, err := parseModes(modes)
+	modeNames, err := parseModes(modes)
 	if err != nil {
 		return nil, err
 	}
@@ -194,10 +195,15 @@ func buildJobs(apps, cnns, llms, serves string, uvm bool, modes string, platform
 			if err != nil {
 				return nil, err
 			}
-			for _, m := range ccModes {
-				jobs = append(jobs, m.apply(batch.WorkloadJob(name, false, m.cc)))
-				if uvm && spec.UVMCapable {
-					jobs = append(jobs, m.apply(batch.WorkloadJob(name, true, m.cc)))
+			variants := []bool{false}
+			if uvm && spec.UVMCapable {
+				variants = append(variants, true)
+			}
+			for _, m := range modeNames {
+				for _, managed := range variants {
+					j := batch.WorkloadJob(name, managed, false)
+					j.Mode = m
+					jobs = append(jobs, j)
 				}
 			}
 		}
@@ -207,8 +213,8 @@ func buildJobs(apps, cnns, llms, serves string, uvm bool, modes string, platform
 		if err != nil {
 			return nil, err
 		}
-		for _, m := range ccModes {
-			jobs = append(jobs, m.apply(batch.CNNJob(model, b, prec, m.cc)))
+		for _, m := range modeNames {
+			jobs = append(jobs, batch.CNNJob(model, b, prec, m))
 		}
 	}
 	for _, cell := range splitCells(llms) {
@@ -216,8 +222,8 @@ func buildJobs(apps, cnns, llms, serves string, uvm bool, modes string, platform
 		if err != nil {
 			return nil, err
 		}
-		for _, m := range ccModes {
-			jobs = append(jobs, m.apply(batch.LLMJob(backend, quant, b, m.cc)))
+		for _, m := range modeNames {
+			jobs = append(jobs, batch.LLMJob(backend, quant, b, m))
 		}
 	}
 	for _, cell := range splitCells(serves) {
@@ -225,10 +231,10 @@ func buildJobs(apps, cnns, llms, serves string, uvm bool, modes string, platform
 		if err != nil {
 			return nil, err
 		}
-		for _, m := range ccModes {
+		for _, m := range modeNames {
 			j := batch.ServeJob(backend, quant, rate)
-			j.CC = m.cc
-			jobs = append(jobs, m.apply(j))
+			j.Mode = m
+			jobs = append(jobs, j)
 		}
 	}
 	if len(platforms) > 0 {
@@ -249,35 +255,17 @@ func buildJobs(apps, cnns, llms, serves string, uvm bool, modes string, platform
 	return jobs, nil
 }
 
-// jobMode is one -modes entry: the legacy cc/base spellings keep the
-// deprecated boolean jobs (and their labels and cache keys), anything else
-// is a protection-mode name resolved through ccmode.ByName.
-type jobMode struct {
-	mode string // canonical mode name; "" for a legacy cc/base entry
-	cc   bool
-}
-
-func (m jobMode) apply(j batch.Job) batch.Job {
-	j.Mode = m.mode
-	return j
-}
-
-func parseModes(s string) ([]jobMode, error) {
-	var out []jobMode
+// parseModes resolves the -modes list to canonical protection-mode names.
+func parseModes(s string) ([]string, error) {
+	var out []string
 	for _, m := range strings.Split(s, ",") {
-		switch name := strings.TrimSpace(m); name {
-		case "cc":
-			out = append(out, jobMode{cc: true})
-		case "base":
-			out = append(out, jobMode{})
-		default:
-			cm, err := ccmode.ByName(name)
-			if err != nil {
-				return nil, fmt.Errorf("hccsweep: unknown mode %q (want cc, base, or one of %s)",
-					name, strings.Join(ccmode.Names(), ", "))
-			}
-			out = append(out, jobMode{mode: cm.Name()})
+		name := strings.TrimSpace(m)
+		cm, err := ccmode.ByName(name)
+		if err != nil {
+			return nil, fmt.Errorf("hccsweep: unknown mode %q (want one of %s, optionally with +pipelined)",
+				name, strings.Join(ccmode.Names(), ", "))
 		}
+		out = append(out, cm.Name())
 	}
 	return out, nil
 }
@@ -329,8 +317,8 @@ func parseLLMCell(cell string) (string, int, string, error) {
 }
 
 // emit renders the results in the requested format: the sweep table (plus
-// the CC/base ratio table when both modes are present) as text or CSV, or
-// the full per-job payloads as JSON.
+// the protected/off ratio table when off and a protected mode are both
+// present) as text or CSV, or the full per-job payloads as JSON.
 func emit(w *os.File, format string, results []batch.Result) error {
 	switch format {
 	case "table":

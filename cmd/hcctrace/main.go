@@ -20,8 +20,7 @@ import (
 
 func main() {
 	app := flag.String("app", "2mm", "application to run (see -list)")
-	cc := flag.Bool("cc", false, "enable confidential computing (run in a TD); deprecated alias for -mode tdx-h100")
-	ccMode := flag.String("mode", "", "protection mode: off, tdx-h100, tee-io-direct, tee-io-bridge (optionally +pipelined); overrides -cc")
+	ccMode := flag.String("mode", "off", "protection mode: off, tdx-h100, tee-io-direct, tee-io-bridge (optionally +pipelined)")
 	uvm := flag.Bool("uvm", false, "use the UVM (cudaMallocManaged) variant")
 	events := flag.Bool("events", false, "dump every trace event")
 	jsonOut := flag.String("json", "", "write the full trace as JSON to this file ('-' for stdout)")
@@ -54,14 +53,7 @@ func main() {
 		}
 		mode = workloads.UVM
 	}
-	name := *ccMode
-	if name == "" {
-		name = "off"
-		if *cc {
-			name = "tdx-h100"
-		}
-	}
-	cfg, err := cuda.NewConfig(name)
+	cfg, err := cuda.NewConfig(*ccMode)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hcctrace:", err)
 		os.Exit(1)

@@ -19,7 +19,11 @@ func Example() {
 		c.Memcpy(h, d, 64<<20)
 		c.Free(d)
 	}
-	base, cc, ratio := hccsim.CompareModes(hccsim.DefaultConfig(false), app)
+	cfg, err := hccsim.Configure(hccsim.Spec{}) // Table I testbed, protection off
+	if err != nil {
+		panic(err)
+	}
+	base, cc, ratio := hccsim.CompareModes(cfg, app)
 	fmt.Printf("kernels unchanged: %v\n", base.KET == cc.KET)
 	fmt.Printf("copies slower under CC: %v\n", ratio.Tmem > 2)
 	fmt.Printf("end-to-end slower under CC: %v\n", ratio.Total > 1)
@@ -31,8 +35,8 @@ func Example() {
 
 // Running one of the paper's benchmark applications and classifying it with
 // the kernel-to-launch ratio of Observation 6.
-func ExampleRunWorkload() {
-	m, err := hccsim.RunWorkload("sc", false, true) // streamcluster, CC on
+func ExampleRun() {
+	m, err := hccsim.Run("sc", hccsim.Spec{Mode: "tdx-h100"}) // streamcluster, CC on
 	if err != nil {
 		panic(err)
 	}
@@ -57,8 +61,12 @@ func ExampleFigure() {
 // UVM encrypted paging: the same kernel is orders of magnitude slower when
 // its data arrives by on-demand page faults under CC.
 func ExampleSystem_Run_uvm() {
-	run := func(cc bool) time.Duration {
-		sys := hccsim.NewSystem(hccsim.DefaultConfig(cc))
+	run := func(mode string) time.Duration {
+		cfg, err := hccsim.Configure(hccsim.Spec{Mode: mode})
+		if err != nil {
+			panic(err)
+		}
+		sys := hccsim.NewSystem(cfg)
 		sys.Run(func(c *hccsim.Context) {
 			m := c.MallocManaged("m", 32<<20)
 			c.Launch(hccsim.KernelSpec{Name: "k", Fixed: time.Millisecond,
@@ -68,7 +76,7 @@ func ExampleSystem_Run_uvm() {
 		})
 		return sys.Metrics().KET
 	}
-	fmt.Printf("encrypted paging >20x slower: %v\n", run(true) > 20*run(false))
+	fmt.Printf("encrypted paging >20x slower: %v\n", run("tdx-h100") > 20*run("off"))
 	// Output:
 	// encrypted paging >20x slower: true
 }

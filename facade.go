@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"time"
 
+	"hccsim/internal/ccmode"
 	"hccsim/internal/core"
 	"hccsim/internal/cuda"
 	"hccsim/internal/nn"
 	"hccsim/internal/obs"
+	"hccsim/internal/platform"
 	"hccsim/internal/sim"
 	"hccsim/internal/workloads"
 )
@@ -16,8 +18,7 @@ import (
 // Spec selects a simulated system for the options-based facade API: which
 // hardware platform, which protection mode, and whether workloads use the
 // managed-memory (UVM) variant. The zero value is the paper's Table I
-// testbed with protection off. Spec replaces the positional boolean/string
-// arguments of the deprecated DefaultConfig/NewConfig/RunWorkload family.
+// testbed with protection off.
 type Spec struct {
 	// Platform names the hardware profile (Platforms); "" resolves to the
 	// default h100-tdx testbed.
@@ -32,7 +33,8 @@ type Spec struct {
 
 // ErrUnknownValue is the sentinel every unknown-name error of this package
 // matches: errors.Is(err, hccsim.ErrUnknownValue) is true for
-// UnknownPrecisionError, UnknownBackendError and UnknownQuantError.
+// UnknownPrecisionError, UnknownBackendError, UnknownQuantError and the
+// unknown mode and platform errors of Configure.
 var ErrUnknownValue = errors.New("hccsim: unknown value")
 
 // ErrRunConsumed is returned by System.RunE when the system has already
@@ -57,30 +59,28 @@ func NewObserver() *Observer { return obs.New() }
 
 // Configure resolves a Spec into the full layer configuration: the
 // platform's calibration under the named protection mode, validated
-// against the platform's legal mode set. It subsumes the deprecated
-// DefaultConfig/NewConfig/PlatformConfig constructors.
+// against the platform's legal mode set. Errors for unknown mode and
+// platform names match ErrUnknownValue.
 func Configure(s Spec) (Config, error) {
-	mode := s.Mode
-	if mode == "" {
-		mode = "off"
+	if s.Mode != "" {
+		if _, err := ccmode.ByName(s.Mode); err != nil {
+			return Config{}, fmt.Errorf("%w: %v", ErrUnknownValue, err)
+		}
 	}
-	return cuda.PlatformConfig(s.Platform, mode)
+	if _, err := platform.ByName(s.Platform); err != nil {
+		return Config{}, fmt.Errorf("%w: %v", ErrUnknownValue, err)
+	}
+	return cuda.PlatformConfig(s.Platform, s.Mode)
 }
 
 // Run executes the named workload application on the system the spec
 // describes and returns its fitted Section V model.
-func Run(name string, s Spec) (Model, error) {
-	cfg, err := Configure(s)
-	if err != nil {
-		return Model{}, err
-	}
-	return runWorkloadWith(name, s.UVM, cfg)
-}
+func Run(name string, s Spec) (Model, error) { return RunObserved(name, s, nil) }
 
 // RunObserved is Run with an observability layer attached for the whole
 // run: every substrate opens spans on o and publishes its end-of-run
 // counters into o's metrics registry. Export the result with
-// o.WriteChromeTrace or o.WriteSummary.
+// o.WriteChromeTrace or o.WriteSummary. A nil o records nothing (Run).
 func RunObserved(name string, s Spec, o *Observer) (Model, error) {
 	cfg, err := Configure(s)
 	if err != nil {

@@ -1,10 +1,10 @@
 package hccsim
 
 // Tests for the options-based facade (Spec/Configure/Run/Train/Serve), its
-// compatibility with the deprecated positional API, and the observability
-// layer's golden Chrome-trace exports. The simulator is deterministic, so a
-// trace must be byte-identical run over run and across versions; regenerate
-// the goldens after an intentional timing or instrumentation change with:
+// error contract, and the observability layer's golden Chrome-trace
+// exports. The simulator is deterministic, so a trace must be byte-identical
+// run over run and across versions; regenerate the goldens after an
+// intentional timing or instrumentation change with:
 //
 //	go test . -run GoldenChromeTraces -update
 import (
@@ -13,9 +13,11 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
+
+	"hccsim/internal/batch"
+	"hccsim/internal/cuda"
 )
 
 var update = flag.Bool("update", false, "rewrite golden trace files")
@@ -66,115 +68,9 @@ func TestGoldenChromeTraces(t *testing.T) {
 	}
 }
 
-// TestConfigureMatchesDeprecatedConstructors pins the facade's config
-// resolution to the positional constructors it replaces.
-func TestConfigureMatchesDeprecatedConstructors(t *testing.T) {
-	for _, mode := range []string{"off", "tdx-h100", "tee-io-direct"} {
-		got, err := Configure(Spec{Mode: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := NewConfig(mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("Configure(Spec{Mode:%q}) != NewConfig(%q)", mode, mode)
-		}
-	}
-	got, err := Configure(Spec{Platform: "b300-bridge", Mode: "tee-io-bridge"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := PlatformConfig("b300-bridge", "tee-io-bridge")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("Configure != PlatformConfig for b300-bridge/tee-io-bridge")
-	}
-	if _, err := Configure(Spec{Mode: "h100"}); err == nil {
-		t.Error("Configure accepted an unknown mode")
-	}
-	if _, err := Configure(Spec{Platform: "dgx"}); err == nil {
-		t.Error("Configure accepted an unknown platform")
-	}
-}
-
-// TestRunMatchesDeprecatedWrappers checks the deprecated workload entry
-// points return the exact Model of the facade they now delegate to,
-// including the legacy CC-boolean to mode-name mapping.
-func TestRunMatchesDeprecatedWrappers(t *testing.T) {
-	want, err := Run("2mm", Spec{Mode: "tdx-h100"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := RunWorkload("2mm", false, true) // cc=true is tdx-h100
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(old, want) {
-		t.Errorf("RunWorkload(cc=true) = %+v, want Run model %+v", old, want)
-	}
-	wantUVM, err := Run("2dconv", Spec{Mode: "tee-io-bridge", UVM: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldUVM, err := RunWorkloadMode("2dconv", true, "tee-io-bridge")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(oldUVM, wantUVM) {
-		t.Errorf("RunWorkloadMode = %+v, want Run model %+v", oldUVM, wantUVM)
-	}
-}
-
-// TestTrainServeMatchDeprecatedWrappers checks the nn facade against both
-// deprecated spellings: the *Mode wrappers must agree exactly, the
-// CC-boolean wrappers on every result field except the embedded Config
-// (which records the request's spelling — CC bool vs Mode name).
-func TestTrainServeMatchDeprecatedWrappers(t *testing.T) {
-	tr, err := Train("resnet50", 64, "amp", Spec{Mode: "tdx-h100"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	trMode, err := TrainCNNMode("resnet50", 64, "amp", "tdx-h100")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(tr, trMode) {
-		t.Errorf("Train = %+v, TrainCNNMode = %+v", tr, trMode)
-	}
-	trCC, err := TrainCNN("resnet50", 64, "amp", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trCC.IterTime != tr.IterTime || trCC.Throughput != tr.Throughput ||
-		trCC.TrainingTime != tr.TrainingTime || trCC.CopyPerIter != tr.CopyPerIter ||
-		trCC.LaunchPerIter != tr.LaunchPerIter {
-		t.Errorf("TrainCNN(cc=true) = %+v, want Train result %+v", trCC, tr)
-	}
-
-	sv, err := Serve("vllm", "awq", 8, Spec{Mode: "tdx-h100"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svMode, err := ServeLLMMode("vllm", "awq", 8, "tdx-h100")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sv, svMode) {
-		t.Errorf("Serve = %+v, ServeLLMMode = %+v", sv, svMode)
-	}
-	svCC, err := ServeLLM("vllm", "awq", 8, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if svCC.StepTime != sv.StepTime || svCC.TokensPerSec != sv.TokensPerSec {
-		t.Errorf("ServeLLM(cc=true) = %+v, want Serve result %+v", svCC, sv)
-	}
-
-	// Train and Serve model the h100-tdx testbed only.
+// TestTrainServePlatforms checks Train and Serve model the h100-tdx testbed
+// only.
+func TestTrainServePlatforms(t *testing.T) {
 	if _, err := Train("resnet50", 64, "amp", Spec{Platform: "b300-bridge", Mode: "tee-io-bridge"}); err == nil {
 		t.Error("Train accepted a non-h100-tdx platform")
 	}
@@ -207,6 +103,25 @@ func TestUnknownValueErrors(t *testing.T) {
 	if !strings.Contains(err.Error(), "bf16") || !strings.Contains(err.Error(), "awq") {
 		t.Errorf("quant error does not list legal values: %v", err)
 	}
+	// Unknown protection modes and platforms are unknown values, including
+	// the retired cc/base boolean spellings.
+	for _, s := range []Spec{{Mode: "h100"}, {Mode: "cc"}, {Mode: "base"}, {Platform: "dgx"}} {
+		if _, err := Configure(s); !errors.Is(err, ErrUnknownValue) {
+			t.Errorf("Configure(%+v) = %v, want an ErrUnknownValue error", s, err)
+		}
+	}
+	// An illegal mode x platform pair is not an unknown value.
+	if _, err := Configure(Spec{Platform: "b300-bridge", Mode: "tdx-h100"}); err == nil || errors.Is(err, ErrUnknownValue) {
+		t.Errorf("Configure(tdx-h100 on b300-bridge) = %v, want a non-sentinel error", err)
+	}
+	// The retired TEEIO override alias is an unknown parameter.
+	cfg, err := Configure(Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := batch.ApplyOverride(&cfg, "TEEIO", 1); err == nil || !strings.Contains(err.Error(), "unknown config parameter") {
+		t.Errorf("ApplyOverride(TEEIO) = %v, want an unknown-parameter error", err)
+	}
 	// Unrelated errors must not match the sentinel.
 	if _, err := Run("nope", Spec{}); errors.Is(err, ErrUnknownValue) {
 		t.Error("unknown-workload error wrongly matches ErrUnknownValue")
@@ -216,7 +131,7 @@ func TestUnknownValueErrors(t *testing.T) {
 // TestRunEConsumed checks the error-returning run path: one run works, the
 // second reports ErrRunConsumed instead of panicking.
 func TestRunEConsumed(t *testing.T) {
-	sys := NewSystem(DefaultConfig(false))
+	sys := NewSystem(cuda.DefaultConfig(false))
 	app := func(c *Context) {
 		d := c.Malloc("d", 1<<20)
 		c.Free(d)
@@ -237,7 +152,7 @@ func TestRunEConsumed(t *testing.T) {
 // idempotent, spans land during the run, and the end-of-run metrics are
 // published into the observer's registry.
 func TestSystemObserve(t *testing.T) {
-	sys := NewSystem(DefaultConfig(true))
+	sys := NewSystem(cuda.DefaultConfig(true))
 	o := sys.Observe()
 	if o == nil || sys.Observe() != o {
 		t.Fatal("Observe not idempotent")

@@ -20,7 +20,11 @@
 //
 // A minimal session:
 //
-//	sys := hccsim.NewSystem(hccsim.DefaultConfig(true)) // CC on
+//	cfg, err := hccsim.Configure(hccsim.Spec{Mode: "tdx-h100"}) // CC on
+//	if err != nil {
+//	    log.Fatal(err)
+//	}
+//	sys := hccsim.NewSystem(cfg)
 //	elapsed := sys.Run(func(c *hccsim.Context) {
 //	    h := c.HostBuffer("in", 64<<20)
 //	    d := c.Malloc("buf", 64<<20)
@@ -73,9 +77,9 @@ type (
 	Table = figures.Table
 	// Workload is a benchmark application specification.
 	Workload = workloads.Spec
-	// TrainResult is one CNN training measurement (TrainCNN).
+	// TrainResult is one CNN training measurement (Train).
 	TrainResult = nn.TrainResult
-	// LLMResult is one LLM serving measurement (ServeLLM).
+	// LLMResult is one LLM serving measurement (Serve).
 	LLMResult = nn.LLMResult
 	// ServeConfig describes one request-level serving-traffic experiment
 	// (ServeTraffic): open-loop arrivals, continuous batching, KV-cache
@@ -97,36 +101,13 @@ type (
 	Override = batch.Override
 )
 
-// DefaultConfig returns the paper's Table I system (dual Xeon 6530 + H100
-// NVL over PCIe 5.0) with confidential computing on or off.
-//
-// Deprecated: use Configure(Spec{Mode: ...}) — the spec API names the mode
-// instead of collapsing it to a boolean.
-func DefaultConfig(cc bool) Config { return cuda.DefaultConfig(cc) }
-
-// NewConfig returns the Table I system under a named protection mode:
-// "off", "tdx-h100", "tee-io-direct", "tee-io-bridge", each optionally
-// suffixed "+pipelined" (see Modes).
-//
-// Deprecated: use Configure(Spec{Mode: mode}).
-func NewConfig(mode string) (Config, error) { return cuda.NewConfig(mode) }
-
 // Modes lists the canonical protection-mode names.
 func Modes() []string { return ccmode.Names() }
 
-// Platforms lists the canonical hardware-platform names (see PlatformConfig).
+// Platforms lists the canonical hardware-platform names: "h100-tdx" is the
+// Table I testbed; the registry adds projected systems such as
+// "b300-bridge" and "gh200-c2c".
 func Platforms() []string { return platform.Names() }
-
-// PlatformConfig returns a named hardware platform's calibration under a
-// named protection mode — "h100-tdx" is the Table I testbed (NewConfig's
-// platform); the registry adds projected systems such as "b300-bridge" and
-// "gh200-c2c". The mode must be valid on the platform; the error lists the
-// platform's legal modes otherwise.
-//
-// Deprecated: use Configure(Spec{Platform: platformName, Mode: mode}).
-func PlatformConfig(platformName, mode string) (Config, error) {
-	return cuda.PlatformConfig(platformName, mode)
-}
 
 // System is one simulated guest (legacy VM or TD) with a GPU attached.
 type System struct {
@@ -176,21 +157,16 @@ func (s *System) Runtime() *cuda.Runtime { return s.rt }
 
 // CompareModes runs the same application unprotected and protected and
 // returns both fitted models plus the component-wise protected/base ratios.
-// The protected run uses cfg's own protection mode when it resolves to a CC
-// mode, and the platform's native CC mode otherwise (tdx-h100 on the default
+// The protected run uses cfg's own protection mode when it is a CC mode,
+// and the platform's native CC mode otherwise (tdx-h100 on the default
 // h100-tdx platform), so a cfg prepared for any protected mode compares that
 // mode against its off baseline, and an off config on any platform compares
 // that platform's native protection against off.
 func CompareModes(cfg Config, app func(c *Context)) (base, cc Model, ratio core.Ratio) {
-	off := cfg
+	off, on := cfg, cfg
 	off.Mode = "off"
-	off.CC = false
-	off.TDX.TEEIO = false
-	on := cfg
-	if m, err := on.ResolveMode(); err != nil || !m.CC() {
-		on.CC = true
-		on.Mode = ""
-		if prof, err := on.ResolvePlatform(); err == nil {
+	if m, err := cfg.ResolveMode(); err != nil || !m.CC() {
+		if prof, err := cfg.ResolvePlatform(); err == nil {
 			on.Mode = prof.NativeMode()
 		}
 	}
@@ -210,113 +186,16 @@ func Workloads() []Workload { return workloads.All() }
 // WorkloadByName looks up one application.
 func WorkloadByName(name string) (Workload, error) { return workloads.ByName(name) }
 
-// RunWorkload executes a named application and returns its fitted model.
-// uvm selects the managed-memory variant where the app supports it.
-//
-// Deprecated: use Run(name, Spec{Mode: ..., UVM: uvm}).
-func RunWorkload(name string, uvm, cc bool) (Model, error) {
-	return Run(name, Spec{Mode: ccmode.Legacy(cc, false).Name(), UVM: uvm})
-}
-
-// RunWorkloadMode is RunWorkload under a named protection mode.
-//
-// Deprecated: use Run(name, Spec{Mode: ccMode, UVM: uvm}).
-func RunWorkloadMode(name string, uvm bool, ccMode string) (Model, error) {
-	return Run(name, Spec{Mode: ccMode, UVM: uvm})
-}
-
-func runWorkloadWith(name string, uvm bool, cfg Config) (Model, error) {
-	spec, err := workloads.ByName(name)
-	if err != nil {
-		return Model{}, err
-	}
-	mode := workloads.CopyExecute
-	if uvm {
-		mode = workloads.UVM
-	}
-	res := workloads.Execute(spec, mode, cfg)
-	return core.Decompose(res.Runtime.Tracer()), nil
-}
-
 // FigureIDs lists every reproducible figure.
 func FigureIDs() []string { return figures.IDs() }
 
 // Figure reproduces one paper figure by id (e.g. "fig5", "fig13").
 func Figure(id string) (Table, error) { return figures.Generate(id) }
 
-// TrainCNN runs one Fig. 13 training configuration; model names follow the
-// paper (vgg16, resnet50, mobilenetv2, squeezenet, attention92, inceptionv4).
-//
-// Deprecated: use Train(model, batch, precision, Spec{Mode: ...}).
-func TrainCNN(model string, batch int, precision string, cc bool) (nn.TrainResult, error) {
-	m, err := nn.ModelByName(model)
-	if err != nil {
-		return nn.TrainResult{}, err
-	}
-	prec, err := nn.PrecisionByName(precision)
-	if err != nil {
-		return nn.TrainResult{}, &UnknownPrecisionError{Precision: precision}
-	}
-	return nn.TrainSimulate(nn.TrainConfig{Model: m, Batch: batch, Precision: prec, CC: cc}), nil
-}
-
-// TrainCNNMode is TrainCNN under a named protection mode.
-//
-// Deprecated: use Train(model, batch, precision, Spec{Mode: ccMode}).
-func TrainCNNMode(model string, batch int, precision, ccMode string) (nn.TrainResult, error) {
-	m, err := nn.ModelByName(model)
-	if err != nil {
-		return nn.TrainResult{}, err
-	}
-	prec, err := nn.PrecisionByName(precision)
-	if err != nil {
-		return nn.TrainResult{}, &UnknownPrecisionError{Precision: precision}
-	}
-	if _, err := ccmode.ByName(ccMode); err != nil {
-		return nn.TrainResult{}, err
-	}
-	return nn.TrainSimulate(nn.TrainConfig{Model: m, Batch: batch, Precision: prec, Mode: ccMode}), nil
-}
-
-// ServeLLM runs one Fig. 14 inference configuration (backend "hf" or
-// "vllm"; quant "bf16" or "awq"). Unknown backend or quantization names are
-// errors (UnknownBackendError / UnknownQuantError), not silent defaults.
-//
-// Deprecated: use Serve(backend, quant, batch, Spec{Mode: ...}).
-func ServeLLM(backend, quant string, batch int, cc bool) (nn.LLMResult, error) {
-	b, err := nn.BackendByName(backend)
-	if err != nil {
-		return nn.LLMResult{}, &UnknownBackendError{Backend: backend}
-	}
-	q, err := nn.QuantByName(quant)
-	if err != nil {
-		return nn.LLMResult{}, &UnknownQuantError{Quant: quant}
-	}
-	return nn.LLMSimulate(nn.LLMConfig{Backend: b, Quant: q, Batch: batch, CC: cc}), nil
-}
-
-// ServeLLMMode is ServeLLM under a named protection mode.
-//
-// Deprecated: use Serve(backend, quant, batch, Spec{Mode: ccMode}).
-func ServeLLMMode(backend, quant string, batch int, ccMode string) (nn.LLMResult, error) {
-	b, err := nn.BackendByName(backend)
-	if err != nil {
-		return nn.LLMResult{}, &UnknownBackendError{Backend: backend}
-	}
-	q, err := nn.QuantByName(quant)
-	if err != nil {
-		return nn.LLMResult{}, &UnknownQuantError{Quant: quant}
-	}
-	if _, err := ccmode.ByName(ccMode); err != nil {
-		return nn.LLMResult{}, err
-	}
-	return nn.LLMSimulate(nn.LLMConfig{Backend: b, Quant: q, Batch: batch, Mode: ccMode}), nil
-}
-
 // ServeTraffic runs one request-level LLM serving experiment: seeded
 // open-loop arrivals through a continuous-batching scheduler with KV-cache
 // accounting, under the config's protection mode. It measures what the
-// steady-state decode numbers of ServeLLM (Fig. 14) leave out — queueing,
+// steady-state decode numbers of Serve (Fig. 14) leave out — queueing,
 // TTFT inflation, preemption swap traffic, and SLO attainment under load.
 // The zero value of most ServeConfig fields resolves to documented defaults;
 // cfg.Mode or cfg.System picks the protection mode.

@@ -5,11 +5,13 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"hccsim/internal/cuda"
 )
 
 func TestQuickstartSession(t *testing.T) {
 	for _, cc := range []bool{false, true} {
-		sys := NewSystem(DefaultConfig(cc))
+		sys := NewSystem(cuda.DefaultConfig(cc))
 		elapsed := sys.Run(func(c *Context) {
 			h := c.HostBuffer("in", 64<<20)
 			d := c.Malloc("buf", 64<<20)
@@ -44,7 +46,7 @@ func TestCompareModes(t *testing.T) {
 		c.Sync()
 		c.Free(d)
 	}
-	base, cc, ratio := CompareModes(DefaultConfig(false), app)
+	base, cc, ratio := CompareModes(cuda.DefaultConfig(false), app)
 	if cc.Total <= base.Total {
 		t.Fatalf("CC total (%v) not above base (%v)", cc.Total, base.Total)
 	}
@@ -63,14 +65,14 @@ func TestWorkloadAccess(t *testing.T) {
 	if _, err := WorkloadByName("sc"); err != nil {
 		t.Fatal(err)
 	}
-	m, err := RunWorkload("2mm", false, true)
+	m, err := Run("2mm", Spec{Mode: "tdx-h100"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Kernels != 2 {
 		t.Fatalf("2mm model has %d kernels", m.Kernels)
 	}
-	if _, err := RunWorkload("nope", false, false); err == nil {
+	if _, err := Run("nope", Spec{}); err == nil {
 		t.Fatal("expected error for unknown workload")
 	}
 }
@@ -92,32 +94,32 @@ func TestFigureAccess(t *testing.T) {
 }
 
 func TestNNAccess(t *testing.T) {
-	r, err := TrainCNN("resnet50", 64, "fp32", true)
+	r, err := Train("resnet50", 64, "fp32", Spec{Mode: "tdx-h100"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Throughput <= 0 {
 		t.Fatalf("bad training result %+v", r)
 	}
-	if _, err := TrainCNN("resnet50", 64, "int8", true); err == nil {
+	if _, err := Train("resnet50", 64, "int8", Spec{Mode: "tdx-h100"}); err == nil {
 		t.Fatal("expected error for unknown precision")
 	}
-	if _, err := TrainCNN("alexnet", 64, "fp32", true); err == nil {
+	if _, err := Train("alexnet", 64, "fp32", Spec{Mode: "tdx-h100"}); err == nil {
 		t.Fatal("expected error for unknown model")
 	}
-	l, err := ServeLLM("vllm", "awq", 8, true)
+	l, err := Serve("vllm", "awq", 8, Spec{Mode: "tdx-h100"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if l.TokensPerSec <= 0 {
 		t.Fatalf("bad LLM result %+v", l)
 	}
-	if _, err := ServeLLM("tensorrt", "bf16", 8, true); err == nil {
+	if _, err := Serve("tensorrt", "bf16", 8, Spec{Mode: "tdx-h100"}); err == nil {
 		t.Fatal("expected error for unknown backend")
 	} else if _, ok := err.(*UnknownBackendError); !ok {
 		t.Fatalf("want *UnknownBackendError, got %T: %v", err, err)
 	}
-	if _, err := ServeLLM("vllm", "int4", 8, true); err == nil {
+	if _, err := Serve("vllm", "int4", 8, Spec{Mode: "tdx-h100"}); err == nil {
 		t.Fatal("expected error for unknown quantization")
 	} else if _, ok := err.(*UnknownQuantError); !ok {
 		t.Fatalf("want *UnknownQuantError, got %T: %v", err, err)
@@ -128,7 +130,7 @@ func TestNNAccess(t *testing.T) {
 // second Run call must panic with a clear message instead of silently
 // reusing consumed engine state.
 func TestRunOnce(t *testing.T) {
-	sys := NewSystem(DefaultConfig(false))
+	sys := NewSystem(cuda.DefaultConfig(false))
 	app := func(c *Context) {
 		d := c.Malloc("d", 1<<20)
 		c.Free(d)
@@ -150,8 +152,8 @@ func TestRunOnce(t *testing.T) {
 // results must be byte-identical and keep submission order.
 func TestRunJobs(t *testing.T) {
 	jobs := []Job{
-		{Kind: "workload", Workload: "2mm", CC: false},
-		{Kind: "workload", Workload: "2mm", CC: true,
+		{Kind: "workload", Workload: "2mm", Mode: "off"},
+		{Kind: "workload", Workload: "2mm", Mode: "tdx-h100",
 			Overrides: []Override{{Param: "PCIeGBps", Value: 16}}},
 	}
 	dir := t.TempDir()

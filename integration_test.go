@@ -62,7 +62,7 @@ func TestModelIdentityAcrossSuite(t *testing.T) {
 // staging conserves data).
 func TestByteConservation(t *testing.T) {
 	const n = 128 << 20
-	sys := NewSystem(DefaultConfig(true))
+	sys := NewSystem(cuda.DefaultConfig(true))
 	sys.Run(func(c *Context) {
 		h := c.HostBuffer("h", n)
 		d := c.Malloc("d", n)
@@ -84,7 +84,7 @@ func TestByteConservation(t *testing.T) {
 // TestUVMOversubscription drives a managed working set larger than the
 // resident limit and requires eviction traffic plus forward progress.
 func TestUVMOversubscription(t *testing.T) {
-	cfg := DefaultConfig(false)
+	cfg := cuda.DefaultConfig(false)
 	sys := NewSystem(cfg)
 	sys.Runtime().Device().UVM().SetResidentLimit(64 << 20)
 	sys.Run(func(c *Context) {
@@ -154,11 +154,13 @@ func TestTEEIOEndToEndThroughFacade(t *testing.T) {
 		c.Memcpy(d, h, 64<<20)
 		c.Free(d)
 	}
-	stock := NewSystem(DefaultConfig(true))
+	stock := NewSystem(cuda.DefaultConfig(true))
 	stockT := stock.Run(app)
 
-	cfg := DefaultConfig(true)
-	cfg.TDX.TEEIO = true
+	cfg, err := Configure(Spec{Mode: "tee-io-direct"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	connect := NewSystem(cfg)
 	connectT := connect.Run(app)
 

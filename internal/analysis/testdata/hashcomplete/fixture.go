@@ -63,13 +63,12 @@ func (w WithSealed) Key() string {
 	return string(b)
 }
 
-// ModedConfig mirrors the real system config after the protection-mode
-// refactor: the mode selector is a plain string next to the deprecated CC
-// boolean. Dropping it from the encoding — as the json:"-" tag and the
-// unexported shadow do here — is exactly the omission that would make an
-// "off" and a "tee-io-bridge" sweep share cached results.
+// ModedConfig mirrors the real system config: the protection mode is a plain
+// string next to the platform name. Dropping it from the encoding — as the
+// json:"-" tag and the unexported shadow do here — is exactly the omission that
+// would make an "off" and a "tee-io-bridge" sweep share cached results.
 type ModedConfig struct {
-	CC       bool
+	Platform string
 	Mode     string `json:"-"` // want `json:"-"`
 	modeImpl string // want `unexported`
 }

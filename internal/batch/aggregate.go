@@ -2,7 +2,6 @@ package batch
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"hccsim/internal/ccmode"
@@ -65,14 +64,12 @@ func SweepTable(results []Result) tab.Table {
 
 // RatioTable pairs results that differ only in protection mode and reports
 // component-wise protected/base ratios — the sweep-level analogue of the
-// normalized bars of Figs. 5-7. Legacy CC-boolean pairs keep their original
-// one-row-per-point form; named-mode jobs produce one row per protected
-// mode, each against the point's unprotected sibling. Unpaired or
-// model-less results are skipped.
+// normalized bars of Figs. 5-7: one row per protected mode, each against the
+// point's unprotected sibling. Unpaired or model-less results are skipped.
 func RatioTable(results []Result) tab.Table {
 	t := tab.Table{
 		ID:      "sweep-ratio",
-		Title:   "CC/base component ratios per sweep point",
+		Title:   "protected/off component ratios per sweep point",
 		Columns: []string{"job", "tmem", "klo", "lqt", "kqt", "ket", "alloc", "free", "total"},
 	}
 	type entry struct {
@@ -90,22 +87,19 @@ func RatioTable(results []Result) tab.Table {
 		if r.Err != nil || r.Payload.Model == nil {
 			continue
 		}
-		cc, mode := jobCCMode(r.Job)
-		key := pairKey(r.Job)
+		mode := jobMode(r.Job)
+		key := r.Job.label(false)
 		g, ok := groups[key]
 		if !ok {
 			g = &group{}
 			groups[key] = g
 			order = append(order, key)
 		}
-		if !cc {
+		if !mode.CC() {
 			g.base = r.Payload.Model
 			continue
 		}
-		label := key
-		if mode != "" {
-			label = key + "/" + mode
-		}
+		label := key + "/" + mode.Name()
 		replaced := false
 		for e := range g.prot {
 			if g.prot[e].label == label {
@@ -132,26 +126,13 @@ func RatioTable(results []Result) tab.Table {
 	return t
 }
 
-// jobCCMode classifies a job for ratio pairing: whether it runs protected,
-// and the mode-name label segment ("" for the legacy CC-boolean spelling,
-// whose rows keep their original unsuffixed labels).
-func jobCCMode(j Job) (cc bool, label string) {
-	if j.Mode == "" {
-		return j.CC, ""
+// jobMode resolves a completed job's protection mode; the empty name is
+// off (a job whose mode does not resolve never completes).
+func jobMode(j Job) ccmode.Mode {
+	if m, err := ccmode.ByName(j.Mode); err == nil {
+		return m
 	}
-	m, err := ccmode.ByName(j.Mode)
-	if err != nil {
-		return j.CC, j.Mode
-	}
-	return m.CC(), m.Name()
-}
-
-// pairKey is the job label with the protection-mode segment removed, so all
-// modes of one sweep point collide.
-func pairKey(j Job) string {
-	j.CC = false
-	j.Mode = ""
-	return strings.Replace(j.Label(), "/base", "", 1)
+	return ccmode.Off{}
 }
 
 // msCell renders a duration in milliseconds.

@@ -59,6 +59,28 @@ func TestJobKey(t *testing.T) {
 	}
 }
 
+// TestEmptyModeIsOff: the empty mode and "off" name the same system, so
+// they must share a cache key and a label.
+func TestEmptyModeIsOff(t *testing.T) {
+	empty := Job{Kind: KindWorkload, Workload: "2mm"}
+	off := empty
+	off.Mode = "off"
+	ke, err := empty.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ko, err := off.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ke != ko {
+		t.Errorf("empty mode and off hash differently: %s vs %s", ke, ko)
+	}
+	if empty.Label() != off.Label() {
+		t.Errorf("empty mode labels %q, off labels %q", empty.Label(), off.Label())
+	}
+}
+
 func TestOverrides(t *testing.T) {
 	cfg := cuda.DefaultConfig(true)
 	if err := ApplyOverride(&cfg, "PCIeGBps", 16); err != nil {
@@ -79,10 +101,10 @@ func TestOverrides(t *testing.T) {
 	if cfg.Host.FenceInterval != 24 {
 		t.Fatalf("concatenated override not applied: %v", cfg.Host.FenceInterval)
 	}
-	if err := ApplyOverride(&cfg, "TEEIO", 1); err != nil {
+	if err := ApplyOverride(&cfg, "NVLink.Enabled", 1); err != nil {
 		t.Fatal(err)
 	}
-	if !cfg.TDX.TEEIO {
+	if !cfg.NVLink.Enabled {
 		t.Fatal("bool override not applied")
 	}
 	if err := ApplyOverride(&cfg, "NoSuchParam", 1); err == nil {
@@ -116,8 +138,8 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// sweepGrid is the canonical >= 16-job test grid: 2 workloads x cc/base x 4
-// PCIe bandwidth points.
+// sweepGrid is the canonical >= 16-job test grid: 2 workloads x
+// off/tdx-h100 x 4 PCIe bandwidth points.
 func sweepGrid() []Job {
 	var jobs []Job
 	for _, name := range []string{"2mm", "gesummv"} {
@@ -237,10 +259,10 @@ func TestNoCacheJobs(t *testing.T) {
 
 func TestCNNAndLLMJobs(t *testing.T) {
 	jobs := []Job{
-		CNNJob("squeezenet", 64, "fp32", true),
-		CNNJob("squeezenet", 64, "fp32", false),
-		LLMJob("vllm", "awq", 8, true),
-		LLMJob("hf", "bf16", 8, false),
+		CNNJob("squeezenet", 64, "fp32", "tdx-h100"),
+		CNNJob("squeezenet", 64, "fp32", "off"),
+		LLMJob("vllm", "awq", 8, "tdx-h100"),
+		LLMJob("hf", "bf16", 8, "off"),
 	}
 	results := (&Pool{Workers: 2, Cache: MemoryCache()}).Run(jobs)
 	for i, r := range results {
@@ -263,7 +285,7 @@ func TestCNNAndLLMJobs(t *testing.T) {
 	}
 
 	// Unknown names surface as per-job errors, not defaults.
-	bad := (&Pool{Workers: 1}).Run([]Job{LLMJob("tensorrt", "bf16", 8, false)})
+	bad := (&Pool{Workers: 1}).Run([]Job{LLMJob("tensorrt", "bf16", 8, "off")})
 	if bad[0].Err == nil {
 		t.Fatal("unknown backend did not error")
 	}
@@ -353,7 +375,7 @@ func TestAggregateTables(t *testing.T) {
 	}
 	ratio := RatioTable(results)
 	if len(ratio.Rows) != len(jobs)/2 {
-		t.Fatalf("ratio table has %d rows, want %d cc/base pairs", len(ratio.Rows), len(jobs)/2)
+		t.Fatalf("ratio table has %d rows, want %d off/tdx-h100 pairs", len(ratio.Rows), len(jobs)/2)
 	}
 }
 

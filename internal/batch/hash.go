@@ -9,7 +9,7 @@ import (
 
 // cacheVersion is folded into every job key; bump it when the payload
 // encoding or the meaning of a job changes so stale on-disk entries miss.
-const cacheVersion = "hccsweep-v4"
+const cacheVersion = "hccsweep-v5"
 
 // Key returns the content address of the job: a SHA-256 over the cache
 // format version, the job spec, and the fully resolved configuration it

@@ -19,7 +19,6 @@ import (
 
 	"hccsim/internal/cuda"
 	"hccsim/internal/nn"
-	"hccsim/internal/platform"
 	"hccsim/internal/workloads"
 )
 
@@ -75,16 +74,9 @@ type Job struct {
 	Requests int     `json:",omitempty"` // offered request count (0 = serve default)
 	Seed     uint64  `json:",omitempty"` // workload RNG seed (0 = serve default)
 
-	// CC selects confidential-computing mode (ignored for figure jobs,
-	// which fix their own modes internally).
-	//
-	// Deprecated: CC is the boolean spelling of the protection switch; it
-	// is consulted only when Mode is empty. New jobs should set Mode.
-	CC bool
-
 	// Mode names the protection mode (ccmode.ByName) the job runs under;
-	// it takes precedence over the deprecated CC boolean. Empty keeps the
-	// legacy CC spelling.
+	// empty means off. Figure jobs fix their own modes internally and take
+	// none.
 	Mode string `json:",omitempty"`
 
 	// Platform names the hardware profile (platform.ByName) the job runs
@@ -96,8 +88,8 @@ type Job struct {
 	// Overrides patch named parameters of the default config, in order.
 	Overrides []Override `json:",omitempty"`
 
-	// Config, when non-nil, replaces DefaultConfig(CC) as the base
-	// configuration (Overrides still apply on top).
+	// Config, when non-nil, replaces the default h100-tdx system as the base
+	// configuration (Mode and Overrides still apply on top).
 	Config *cuda.Config `json:",omitempty"`
 
 	// NoCache marks a job whose result must not be memoized (e.g. fig4b
@@ -105,23 +97,29 @@ type Job struct {
 	NoCache bool `json:",omitempty"`
 }
 
-// WorkloadJob builds a benchmark-application job.
+// WorkloadJob builds a benchmark-application job under the paper's on/off
+// switch: cc selects the measured "tdx-h100" mode, else "off". Set Mode
+// afterwards for any other protection mode.
 func WorkloadJob(name string, uvm, cc bool, overrides ...Override) Job {
-	return Job{Kind: KindWorkload, Workload: name, UVM: uvm, CC: cc, Overrides: overrides}
+	mode := "off"
+	if cc {
+		mode = "tdx-h100"
+	}
+	return Job{Kind: KindWorkload, Workload: name, UVM: uvm, Mode: mode, Overrides: overrides}
 }
 
 // FigureJob builds a figure-regeneration job. Prefer figures.Jobs, which
 // also marks machine-measuring figures NoCache.
 func FigureJob(id string) Job { return Job{Kind: KindFigure, Figure: id} }
 
-// CNNJob builds a Fig. 13 CNN-training job.
-func CNNJob(model string, batch int, precision string, cc bool, overrides ...Override) Job {
-	return Job{Kind: KindCNN, Model: model, Batch: batch, Precision: precision, CC: cc, Overrides: overrides}
+// CNNJob builds a Fig. 13 CNN-training job under the named protection mode.
+func CNNJob(model string, batch int, precision, mode string, overrides ...Override) Job {
+	return Job{Kind: KindCNN, Model: model, Batch: batch, Precision: precision, Mode: mode, Overrides: overrides}
 }
 
-// LLMJob builds a Fig. 14 LLM-serving job.
-func LLMJob(backend, quant string, batch int, cc bool, overrides ...Override) Job {
-	return Job{Kind: KindLLM, Backend: backend, Quant: quant, Batch: batch, CC: cc, Overrides: overrides}
+// LLMJob builds a Fig. 14 LLM-serving job under the named protection mode.
+func LLMJob(backend, quant string, batch int, mode string, overrides ...Override) Job {
+	return Job{Kind: KindLLM, Backend: backend, Quant: quant, Batch: batch, Mode: mode, Overrides: overrides}
 }
 
 // ServeJob builds a request-level serving-traffic job (internal/serve): an
@@ -133,7 +131,11 @@ func ServeJob(backend, quant string, rateQPS float64, overrides ...Override) Job
 }
 
 // Label is a short human-readable identifier for sweep tables and logs.
-func (j Job) Label() string {
+func (j Job) Label() string { return j.label(true) }
+
+// label builds Label, with or without the protection-mode segment; without
+// it, every mode of one sweep point shares a label.
+func (j Job) label(withMode bool) string {
 	var b strings.Builder
 	switch j.Kind {
 	case KindWorkload:
@@ -153,14 +155,13 @@ func (j Job) Label() string {
 		fmt.Fprintf(&b, "invalid(%s)", j.Kind)
 	}
 	if j.Kind != KindFigure {
-		switch {
-		case j.Mode != "":
+		if withMode {
+			mode := j.Mode
+			if mode == "" {
+				mode = "off"
+			}
 			b.WriteString("/")
-			b.WriteString(j.Mode)
-		case j.CC:
-			b.WriteString("/cc")
-		default:
-			b.WriteString("/base")
+			b.WriteString(mode)
 		}
 		if j.Platform != "" {
 			b.WriteString("@")
@@ -235,13 +236,12 @@ func (j Job) Validate() error {
 }
 
 // EffectiveConfig resolves the full system configuration the job runs under:
-// the base config (Config, the Platform profile, or DefaultConfig(CC)),
-// Mode applied on top, then Overrides in order, and finally normalized so
-// every spelling of the same protection mode and platform (alias names,
-// the legacy CC boolean, the deprecated TDX.TEEIO flag) hashes and runs
-// identically.
+// the base config (Config, the Platform profile, or the default h100-tdx
+// system), Mode applied on top, then Overrides in order, and finally
+// normalized so every spelling of the same protection mode and platform
+// (alias names, the empty mode) hashes and runs identically.
 func (j Job) EffectiveConfig() (cuda.Config, error) {
-	cfg := cuda.DefaultConfig(j.CC)
+	cfg := cuda.DefaultConfig(false)
 	if j.Config != nil {
 		cfg = *j.Config
 	}
@@ -250,7 +250,6 @@ func (j Job) EffectiveConfig() (cuda.Config, error) {
 		if err != nil {
 			return cfg, err
 		}
-		base.CC = cfg.CC
 		base.Mode = cfg.Mode
 		cfg = base
 	}
@@ -266,10 +265,10 @@ func (j Job) EffectiveConfig() (cuda.Config, error) {
 }
 
 // GridModes expands every job once per protection-mode name — the cc.mode
-// sweep axis of cmd/hccsweep. Setting Mode supersedes the legacy CC flag,
-// so jobs that differed only in CC (the default cc/base pair) collapse to
-// the same cache key; GridModes drops those duplicates (first occurrence
-// wins) — otherwise whether a duplicate reports Cached depends on worker
+// sweep axis of cmd/hccsweep. Setting Mode replaces the job's own mode, so
+// jobs that differed only in mode (the -modes list) collapse to the same
+// cache key; GridModes drops those duplicates (first occurrence wins) —
+// otherwise whether a duplicate reports Cached depends on worker
 // scheduling and sweep output stops being byte-identical across -parallel
 // levels. Jobs whose key cannot be computed are kept for Validate to
 // report.
@@ -293,13 +292,9 @@ func GridModes(jobs []Job, modes []string) []Job {
 }
 
 // GridPlatforms expands every job once per hardware platform — the
-// hw.platform sweep axis of cmd/hccsweep. Jobs spelled with the legacy CC
-// boolean (Mode empty) get a concrete mode per platform: "off" for CC
-// false and the platform's native CC mode for CC true, because the
-// boolean's fixed tdx-h100 reading is not valid everywhere (a B300 runs
-// tee-io-bridge, not bounce-buffer TDX). Jobs that name a Mode keep it —
-// an illegal mode×platform pair then fails Validate before any job runs.
-// Like GridModes, jobs collapsing to the same cache key are dropped (first
+// hw.platform sweep axis of cmd/hccsweep. Jobs keep their Mode, so an
+// illegal mode×platform pair fails Validate before any job runs. Like
+// GridModes, jobs collapsing to the same cache key are dropped (first
 // occurrence wins) so sweep output stays byte-identical across -parallel
 // levels; unknown platform names are kept for Validate to report.
 func GridPlatforms(jobs []Job, platforms []string) []Job {
@@ -309,14 +304,6 @@ func GridPlatforms(jobs []Job, platforms []string) []Job {
 		for _, name := range platforms {
 			nj := j
 			nj.Platform = name
-			if nj.Mode == "" && nj.Kind != KindFigure {
-				nj.Mode = "off"
-				if nj.CC {
-					if p, err := platform.ByName(name); err == nil {
-						nj.Mode = p.NativeMode()
-					}
-				}
-			}
 			if key, err := nj.Key(); err == nil {
 				if seen[key] {
 					continue

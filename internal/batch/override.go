@@ -30,7 +30,6 @@ var aliases = map[string]string{
 	"Hypercall":     "TDX.Hypercall",
 	"BatchPagesCC":  "UVM.BatchPagesCC",
 	"FenceInterval": "Host.FenceInterval",
-	"TEEIO":         "TDX.TEEIO",
 }
 
 var durationType = reflect.TypeOf(time.Duration(0))

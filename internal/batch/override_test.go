@@ -154,10 +154,10 @@ func TestApplyOverrideKinds(t *testing.T) {
 	if cfg.TDX.CryptoWorkers != 4 {
 		t.Errorf("int override: got %v", cfg.TDX.CryptoWorkers)
 	}
-	if err := ApplyOverride(&cfg, "TEEIO", 1); err != nil {
+	if err := ApplyOverride(&cfg, "NVLink.Enabled", 1); err != nil {
 		t.Fatal(err)
 	}
-	if !cfg.TDX.TEEIO {
-		t.Error("bool override: TEEIO not set")
+	if !cfg.NVLink.Enabled {
+		t.Error("bool override: NVLink.Enabled not set")
 	}
 }

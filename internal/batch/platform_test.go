@@ -30,8 +30,7 @@ func TestPlatformKeyIdentity(t *testing.T) {
 	c.Platform = "b300"
 	d := a
 	d.Platform = "b300-bridge"
-	// Legacy CC on a non-TDX platform has no meaning until a mode is
-	// assigned; give both the platform's mode.
+	// tdx-h100 is illegal on a B300; give both the platform's mode.
 	c.Mode, d.Mode = "tee-io-bridge", "tee-io-bridge"
 	kc, err := c.Key()
 	if err != nil {
@@ -46,36 +45,6 @@ func TestPlatformKeyIdentity(t *testing.T) {
 	}
 	if kc == ka {
 		t.Errorf("different platforms share a cache key")
-	}
-}
-
-// TestGridPlatformsLegacyCCMapping: the deprecated CC boolean reads as
-// "this platform's native protection", not tdx-h100 everywhere — tdx-h100
-// is illegal on a B300.
-func TestGridPlatformsLegacyCCMapping(t *testing.T) {
-	jobs := []Job{WorkloadJob("gemm", false, true), WorkloadJob("gemm", false, false)}
-	out := GridPlatforms(jobs, []string{"h100-tdx", "b300-bridge"})
-	if len(out) != 4 {
-		t.Fatalf("got %d jobs, want 4", len(out))
-	}
-	wantModes := map[string]string{
-		"h100-tdx/cc":      "tdx-h100",
-		"b300-bridge/cc":   "tee-io-bridge",
-		"h100-tdx/base":    "off",
-		"b300-bridge/base": "off",
-	}
-	for i, j := range out {
-		kind := "base"
-		if i < 2 {
-			kind = "cc"
-		}
-		want := wantModes[j.Platform+"/"+kind]
-		if j.Mode != want {
-			t.Errorf("job %d on %s: mode %q, want %q", i, j.Platform, j.Mode, want)
-		}
-		if err := j.Validate(); err != nil {
-			t.Errorf("job %d fails validation: %v", i, err)
-		}
 	}
 }
 
@@ -185,8 +154,8 @@ func TestPlatformEffectiveConfigSeedsProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Platform != "b300-bridge" || cfg.Mode != "tee-io-bridge" || !cfg.CC {
-		t.Errorf("resolved platform %q mode %q cc %v", cfg.Platform, cfg.Mode, cfg.CC)
+	if cfg.Platform != "b300-bridge" || cfg.Mode != "tee-io-bridge" {
+		t.Errorf("resolved platform %q mode %q", cfg.Platform, cfg.Mode)
 	}
 	if cfg.GPU.SMs == cuda.DefaultConfig(false).GPU.SMs {
 		t.Error("profile params not seeded (SMs match the default platform)")

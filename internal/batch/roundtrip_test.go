@@ -41,6 +41,7 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 	base := WorkloadJob("2mm", false, true)
 	perturbed := base
 	perturbed.Config = &cfg
+	perturbed.Mode = "" // the explicit config's own mode governs
 	k1, err := base.Key()
 	if err != nil {
 		t.Fatal(err)

@@ -102,7 +102,7 @@ func runCNN(j Job) (Payload, error) {
 	if err != nil {
 		return Payload{}, err
 	}
-	r := nn.TrainSimulateWith(nn.TrainConfig{Model: m, Batch: j.Batch, Precision: prec, CC: j.CC}, cfg)
+	r := nn.TrainSimulateWith(nn.TrainConfig{Model: m, Batch: j.Batch, Precision: prec}, cfg)
 	return Payload{Elapsed: r.IterTime, CNN: &r}, nil
 }
 
@@ -119,7 +119,7 @@ func runLLM(j Job) (Payload, error) {
 	if err != nil {
 		return Payload{}, err
 	}
-	r := nn.LLMSimulateWith(nn.LLMConfig{Backend: backend, Quant: quant, Batch: j.Batch, CC: j.CC}, cfg)
+	r := nn.LLMSimulateWith(nn.LLMConfig{Backend: backend, Quant: quant, Batch: j.Batch}, cfg)
 	return Payload{Elapsed: r.StepTime, LLM: &r}, nil
 }
 

@@ -1,3 +1,7 @@
+// Package bench holds the profiling hooks the commands share: hccbench and
+// hccsweep expose them as -cpuprofile/-memprofile/-trace flags around the
+// work an invocation does. The repository's performance benchmark lives in
+// hccperf (bash hccperf/run.sh).
 package bench
 
 import (

@@ -1,13 +1,12 @@
 // Package ccmode makes the protection model a first-class, pluggable layer.
 //
 // The paper measures exactly one platform — Intel TDX with an H100 behind a
-// bounce buffer and single-threaded software AES-GCM — and the simulator
-// originally hard-wired that platform behind a single Config.CC boolean.
-// Related work shows protection modes are a family, not a flag: Blackwell
-// GPU-CC ("The Serialized Bridge") preserves GPU-local performance while the
-// CPU–GPU bridge serializes, and PipeLLM recovers most of the transfer cost
-// by overlapping AES-GCM with DMA. A Mode captures everything that differs
-// between members of that family:
+// bounce buffer and single-threaded software AES-GCM — as a single on/off
+// switch. Related work shows protection modes are a family, not a flag:
+// Blackwell GPU-CC ("The Serialized Bridge") preserves GPU-local performance
+// while the CPU–GPU bridge serializes, and PipeLLM recovers most of the
+// transfer cost by overlapping AES-GCM with DMA. A Mode captures everything
+// that differs between members of that family:
 //
 //   - launch-path costs (deferred driver work, command-packet handling)
 //   - MMIO/hypercall policy (does a BAR access trap out of the guest?)
@@ -234,9 +233,9 @@ func beginMigrate(port Port, mode string, dir Direction, bytes int64) obs.Span {
 	return o.Track("ccmode").Begin(name).Mode(mode).Bytes(bytes)
 }
 
-// directChunk is the unprotected copy path shared by Off and the legacy
-// TEE-IO projection: pageable buffers pay a staging memcpy, then chunked
-// DMA at link rate.
+// directChunk is the unencrypted-by-software copy path shared by Off and
+// TEEIODirect: pageable buffers pay a staging memcpy, then chunked DMA at
+// link rate.
 func directChunk(f *chunkFrame) {
 	if f.pinned {
 		directStaged(f)
@@ -257,10 +256,8 @@ var registry = []Mode{Off{}, TDXH100{}, TEEIODirect{}, TEEIOBridge{}}
 // aliases maps accepted spellings to canonical names.
 var aliases = []struct{ alias, canonical string }{
 	{"off", "off"},
-	{"base", "off"},
 	{"legacy-vm", "off"},
 	{"tdx", "tdx-h100"},
-	{"cc", "tdx-h100"},
 	{"tdx-h100", "tdx-h100"},
 	{"tee-io-direct", "tee-io-direct"},
 	{"teeio-direct", "tee-io-direct"},
@@ -307,18 +304,4 @@ func Names() []string {
 		out[i] = m.Name()
 	}
 	return out
-}
-
-// Legacy resolves the deprecated Config.CC boolean (plus the deprecated
-// TDX.TEEIO projection flag) to the mode those flags always meant. This is
-// the one sanctioned compatibility shim: new call sites should name modes.
-func Legacy(cc, teeio bool) Mode {
-	switch {
-	case !cc:
-		return Off{}
-	case teeio:
-		return TEEIODirect{}
-	default:
-		return TDXH100{}
-	}
 }

@@ -13,8 +13,8 @@ import (
 // canonical mode, including the +pipelined decorator suffix.
 func TestByNameAliases(t *testing.T) {
 	cases := map[string]string{
-		"off": "off", "base": "off", "legacy-vm": "off", " OFF ": "off",
-		"tdx": "tdx-h100", "cc": "tdx-h100", "tdx-h100": "tdx-h100",
+		"off": "off", "legacy-vm": "off", " OFF ": "off",
+		"tdx": "tdx-h100", "tdx-h100": "tdx-h100",
 		"tee-io-direct": "tee-io-direct", "teeio-direct": "tee-io-direct", "tdx-connect": "tee-io-direct",
 		"tee-io-bridge": "tee-io-bridge", "teeio-bridge": "tee-io-bridge", "tee-io": "tee-io-bridge", "bridge": "tee-io-bridge",
 		"tdx+pipelined":           "tdx-h100+pipelined",
@@ -30,25 +30,10 @@ func TestByNameAliases(t *testing.T) {
 			t.Errorf("ByName(%q) = %s, want %s", in, m.Name(), want)
 		}
 	}
-	if _, err := ByName("h100"); err == nil {
-		t.Error("ByName accepted an unknown mode name")
-	}
-}
-
-// TestLegacy checks the deprecated (CC, TEEIO) boolean pair resolves to the
-// modes the pre-refactor code paths implemented.
-func TestLegacy(t *testing.T) {
-	if got := Legacy(false, false).Name(); got != "off" {
-		t.Errorf("Legacy(false,false) = %s", got)
-	}
-	if got := Legacy(false, true).Name(); got != "off" {
-		t.Errorf("Legacy(false,true) = %s (TEEIO without CC is off)", got)
-	}
-	if got := Legacy(true, false).Name(); got != "tdx-h100" {
-		t.Errorf("Legacy(true,false) = %s", got)
-	}
-	if got := Legacy(true, true).Name(); got != "tee-io-direct" {
-		t.Errorf("Legacy(true,true) = %s", got)
+	for _, bad := range []string{"h100", "", "cc", "base", "cc+pipelined"} {
+		if _, err := ByName(bad); err == nil {
+			t.Errorf("ByName(%q) accepted an unknown mode name", bad)
+		}
 	}
 }
 

@@ -70,7 +70,6 @@ func (Off) MigrateA(port Port, a *sim.Actor, dir Direction, bytes int64, step fu
 // transfer stages through the SWIOTLB bounce buffer and single-threaded
 // software AES-GCM, allocations manage SEPT-private pages, pinning is
 // demoted to shared registration, and UVM degrades to encrypted paging.
-// Byte-identical to the pre-mode `CC: true` paths.
 type TDXH100 struct{}
 
 // Name implements Mode.
@@ -162,12 +161,11 @@ func tdxChunkEnd(x any) {
 	chunkNext(f)
 }
 
-// TEEIODirect is the legacy TDX Connect / PCIe TEE-IO projection the paper
-// points to (previously the TDX.TEEIO params flag): the device joins the
-// TCB, DMA is direct with hardware IDE on the UVM path, trusted MMIO no
-// longer traps — but the CPU substrate is still a TD, so private-page
-// management, CC allocation costs, and the pinning demotion remain.
-// Byte-identical to the pre-mode `CC: true` + `TDX.TEEIO: true` paths.
+// TEEIODirect is the TDX Connect / PCIe TEE-IO projection the paper points to
+// as the hardware fix: the device joins the TCB, DMA is direct with hardware
+// IDE on the UVM path, trusted MMIO no longer traps — but the CPU substrate is
+// still a TD, so private-page management, CC allocation costs, and the pinning
+// demotion remain.
 type TEEIODirect struct{}
 
 // Name implements Mode.

@@ -22,16 +22,9 @@ type NVLinkParams = platform.NVLinkParams
 
 // Config assembles every layer's parameters for one simulated system.
 type Config struct {
-	// CC is the original boolean protection switch.
-	//
-	// Deprecated: CC is kept as a thin alias for existing call sites; it is
-	// consulted only when Mode is empty, where ccmode.Legacy resolves it
-	// (together with the deprecated TDX.TEEIO flag) to a protection mode.
-	// New code should set Mode.
-	CC bool
 	// Mode names the protection mode (see ccmode.Names and ccmode.ByName:
 	// "off", "tdx-h100", "tee-io-direct", "tee-io-bridge", each optionally
-	// "+pipelined"). Empty falls back to the deprecated CC flag.
+	// "+pipelined"). Empty resolves to "off".
 	Mode string
 	// Platform names the hardware profile the per-layer params were seeded
 	// from (see platform.Names and platform.ByName). It is resolved and
@@ -64,14 +57,9 @@ func fromProfile(p platform.Profile) Config {
 	}
 }
 
-// baseConfig returns the paper's Table I system with no mode selected.
-func baseConfig() Config {
-	return fromProfile(platform.MustByName(platform.Default))
-}
-
 // PlatformBase returns the named platform's system with no protection mode
-// selected (CC off). The platform name is resolved through platform.ByName
-// and stored canonically.
+// selected (which resolves to off). The platform name is resolved through
+// platform.ByName and stored canonically.
 func PlatformBase(platformName string) (Config, error) {
 	p, err := platform.ByName(platformName)
 	if err != nil {
@@ -82,25 +70,18 @@ func PlatformBase(platformName string) (Config, error) {
 
 // PlatformConfig returns the named platform under the named protection
 // mode — the cross-platform constructor. Both names are resolved eagerly
-// (platform.ByName, ccmode.ByName) and the mode is validated against the
-// platform's mode set, so an illegal pair fails here with the legal values
-// in the error, never mid-run.
+// (platform.ByName, ccmode.ByName; empty names are the default platform
+// and "off") and the mode is validated against the platform's mode set, so
+// an illegal pair fails here with the legal values in the error, never
+// mid-run.
 func PlatformConfig(platformName, mode string) (Config, error) {
 	p, err := platform.ByName(platformName)
 	if err != nil {
 		return Config{}, err
 	}
-	m, err := ccmode.ByName(mode)
-	if err != nil {
-		return Config{}, err
-	}
-	if err := p.ValidateMode(m); err != nil {
-		return Config{}, err
-	}
 	cfg := fromProfile(p)
-	cfg.Mode = m.Name()
-	cfg.CC = m.CC()
-	return cfg, nil
+	cfg.Mode = mode
+	return cfg.Normalize()
 }
 
 // NewConfig returns the paper's Table I system under the named protection
@@ -110,22 +91,25 @@ func NewConfig(mode string) (Config, error) {
 	return PlatformConfig(platform.Default, mode)
 }
 
-// DefaultConfig returns the paper's Table I system with CC on or off — a
-// thin alias for the mode-aware constructor, kept for the pre-mode API.
+// DefaultConfig returns the paper's Table I system with confidential
+// computing on (the measured "tdx-h100" mode) or off — the on/off switch
+// the paper's own figures compare.
 func DefaultConfig(cc bool) Config {
-	cfg := baseConfig()
-	cfg.CC = cc
+	cfg := fromProfile(platform.MustByName(platform.Default))
+	cfg.Mode = "off"
+	if cc {
+		cfg.Mode = "tdx-h100"
+	}
 	return cfg
 }
 
-// ResolveMode resolves the configuration to its protection mode: Mode by
-// name when set, else the deprecated CC (+ TDX.TEEIO) alias via
-// ccmode.Legacy.
+// ResolveMode resolves the configuration's protection mode by name; the
+// empty name resolves to "off".
 func (c Config) ResolveMode() (ccmode.Mode, error) {
-	if c.Mode != "" {
-		return ccmode.ByName(c.Mode)
+	if c.Mode == "" {
+		return ccmode.Off{}, nil
 	}
-	return ccmode.Legacy(c.CC, c.TDX.TEEIO), nil
+	return ccmode.ByName(c.Mode)
 }
 
 // ResolvePlatform resolves the configuration's platform profile; the empty
@@ -135,11 +119,10 @@ func (c Config) ResolvePlatform() (platform.Profile, error) {
 }
 
 // Normalize resolves the protection mode and platform and writes both back
-// canonically (Mode set to the canonical name, CC to the mode's CC bit,
-// Platform to the canonical profile name), validating the mode against the
-// platform's mode set — so that configurations meaning the same system
-// hash and label identically, and an illegal mode×platform pair fails at
-// resolve time with the legal values in the error.
+// canonically (Mode and Platform set to their canonical names), validating the
+// mode against the platform's mode set — so that configurations meaning the
+// same system hash and label identically, and an illegal mode×platform pair
+// fails at resolve time with the legal values in the error.
 func (c Config) Normalize() (Config, error) {
 	m, err := c.ResolveMode()
 	if err != nil {
@@ -153,7 +136,6 @@ func (c Config) Normalize() (Config, error) {
 		return Config{}, err
 	}
 	c.Mode = m.Name()
-	c.CC = m.CC()
 	c.Platform = p.Name()
 	return c, nil
 }

@@ -11,8 +11,8 @@ import (
 
 // TestExplicitDefaultPlatformByteIdentical is the refactor's core identity:
 // naming the default platform explicitly must produce exactly the config the
-// legacy constructors build, field for field — otherwise cache keys split
-// and golden figures drift.
+// default-platform constructor builds, field for field — otherwise cache keys
+// split and golden figures drift.
 func TestExplicitDefaultPlatformByteIdentical(t *testing.T) {
 	for _, mode := range append(ccmode.Names(), "tdx-h100+pipelined") {
 		viaDefault, err := NewConfig(mode)
@@ -30,13 +30,13 @@ func TestExplicitDefaultPlatformByteIdentical(t *testing.T) {
 	}
 }
 
-// TestDefaultConfigMatchesProfile pins the legacy boolean constructor to the
-// default profile's data.
+// TestDefaultConfigMatchesProfile pins the on/off constructor to the
+// default profile's data under the off and tdx-h100 modes.
 func TestDefaultConfigMatchesProfile(t *testing.T) {
-	for _, cc := range []bool{false, true} {
+	for cc, mode := range map[bool]string{false: "off", true: "tdx-h100"} {
 		cfg := DefaultConfig(cc)
-		if cfg.CC != cc {
-			t.Errorf("DefaultConfig(%v).CC = %v", cc, cfg.CC)
+		if cfg.Mode != mode {
+			t.Errorf("DefaultConfig(%v).Mode = %q, want %q", cc, cfg.Mode, mode)
 		}
 		if cfg.Platform != platform.Default {
 			t.Errorf("DefaultConfig(%v).Platform = %q, want %q", cc, cfg.Platform, platform.Default)
@@ -73,8 +73,8 @@ func TestNormalizeCanonicalizesPlatform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Platform != platform.Default || n.Mode != "tdx-h100" || !n.CC {
-		t.Errorf("Normalize() = platform %q mode %q cc %v", n.Platform, n.Mode, n.CC)
+	if n.Platform != platform.Default || n.Mode != "tdx-h100" {
+		t.Errorf("Normalize() = platform %q mode %q", n.Platform, n.Mode)
 	}
 
 	// Aliased spellings normalize to the same canonical config.

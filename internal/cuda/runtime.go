@@ -46,12 +46,11 @@ type Runtime struct {
 	nvlink    NVLinkParams
 }
 
-// New builds a full system (platform, link, HBM, UVM, device) from cfg.
-// The protection mode is resolved here — Config.Mode by name, or the
-// deprecated CC flag through the legacy shim — validated against the
-// hardware platform's mode set, and threaded into every layer. It panics
-// on an unknown Config.Mode or Config.Platform name or an illegal
-// mode×platform pair, the same fatal-config contract as the substrate
+// New builds a full system (platform, link, HBM, UVM, device) from cfg. The
+// protection mode is resolved here by name (Config.Mode, empty meaning off),
+// validated against the hardware platform's mode set, and threaded into every
+// layer. It panics on an unknown Config.Mode or Config.Platform name or an
+// illegal mode×platform pair, the same fatal-config contract as the substrate
 // constructors below it.
 func New(eng *sim.Engine, cfg Config) *Runtime {
 	mode, err := cfg.ResolveMode()

@@ -338,7 +338,7 @@ func ExtCNNBatchSweep() Table {
 		row := []interface{}{m.Name}
 		for _, b := range batches {
 			base := nn.TrainSimulate(nn.TrainConfig{Model: m, Batch: b, Precision: nn.FP32})
-			cc := nn.TrainSimulate(nn.TrainConfig{Model: m, Batch: b, Precision: nn.FP32, CC: true})
+			cc := nn.TrainSimulate(nn.TrainConfig{Model: m, Batch: b, Precision: nn.FP32, Mode: "tdx-h100"})
 			row = append(row, fmt.Sprintf("%.1f%%", 100*(1-cc.Throughput/base.Throughput)))
 		}
 		t.AddRow(row...)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"hccsim/internal/ccmode"
 	"hccsim/internal/cuda"
 	"hccsim/internal/platform"
 	"hccsim/internal/sim"
@@ -134,9 +135,8 @@ func TestExtensionRegistryEntries(t *testing.T) {
 
 func TestTEEIOPlatformSemantics(t *testing.T) {
 	teeioParams := platform.MustByName(platform.Default).TDX
-	teeioParams.TEEIO = true
 	eng := sim.NewEngine()
-	pl := tdx.NewLegacyPlatform(eng, true, teeioParams)
+	pl := tdx.NewPlatform(eng, ccmode.TEEIODirect{}, teeioParams)
 	if pl.SoftwareCryptoPath() {
 		t.Fatal("TEE-IO platform should not use the software crypto path")
 	}
@@ -158,7 +158,7 @@ func TestCryptoWorkersParallelize(t *testing.T) {
 		eng := sim.NewEngine()
 		params := platform.MustByName(platform.Default).TDX
 		params.CryptoWorkers = workers
-		pl := tdx.NewLegacyPlatform(eng, true, params)
+		pl := tdx.NewPlatform(eng, ccmode.TDXH100{}, params)
 		for i := 0; i < 4; i++ {
 			eng.Spawn("enc", func(p *sim.Proc) { pl.Encrypt(p, 64<<20) })
 		}

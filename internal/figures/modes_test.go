@@ -11,31 +11,33 @@ import (
 	"hccsim/internal/workloads"
 )
 
-// The byte-identity contract of the protection-mode refactor: the Off and
-// TDXH100 backends must reproduce the pre-mode `CC: false` / `CC: true`
-// paths exactly, and TEEIODirect the pre-mode `CC: true` + `TDX.TEEIO`
-// paths, so that every existing figure and table is unchanged however the
-// mode is spelled. The committed golden files anchor the pre-refactor
-// output; these tests pin the named-mode spellings to the legacy ones.
+// The spelling-identity contract of the protection-mode layer: every
+// accepted spelling of a mode (an alias, or the empty name for off) must
+// simulate exactly like its canonical name, so that every figure and table
+// is unchanged however the mode is spelled. The committed golden files
+// anchor the canonical output; these tests pin the other spellings to it.
 
-// spellingPairs are (legacy config, named-mode config) pairs that must
-// simulate identically.
-func spellingPairs() []struct {
-	name          string
-	legacy, named cuda.Config
-} {
-	return []struct {
-		name          string
-		legacy, named cuda.Config
-	}{
-		{"off", cuda.DefaultConfig(false), modeConfig("off")},
-		{"tdx-h100", cuda.DefaultConfig(true), modeConfig("tdx-h100")},
-		{"tee-io-direct", teeioConfig(), func() cuda.Config {
-			cfg := modeConfig("tee-io-direct")
-			cfg.TDX = teeioConfig().TDX
-			return cfg
-		}()},
+// spellingPair is an (aliased config, canonical config) pair that must
+// simulate identically. The aliased config carries its spelling
+// unnormalized, so the runtime itself resolves it.
+type spellingPair struct {
+	name               string
+	aliased, canonical cuda.Config
+}
+
+func spellingPairs() []spellingPair {
+	var out []spellingPair
+	for _, p := range []struct{ alias, canonical string }{
+		{"", "off"},
+		{"tdx", "tdx-h100"},
+		{"tee-io", "tee-io-bridge"},
+		{"tdx-connect", "tee-io-direct"},
+	} {
+		aliased := cuda.DefaultConfig(false)
+		aliased.Mode = p.alias
+		out = append(out, spellingPair{p.alias + "/" + p.canonical, aliased, modeConfig(p.canonical)})
 	}
+	return out
 }
 
 // TestModeSpellingByteIdentity runs representative workloads (explicit-copy
@@ -53,50 +55,50 @@ func TestModeSpellingByteIdentity(t *testing.T) {
 	for _, pair := range spellingPairs() {
 		for _, app := range apps {
 			spec := mustWorkload(app.name)
-			legacy := workloads.Execute(spec, app.mode, pair.legacy)
-			named := workloads.Execute(spec, app.mode, pair.named)
-			if legacy.End != named.End {
-				t.Errorf("%s/%s: end time drifted across spellings: legacy %v, named %v",
-					pair.name, app.name, time.Duration(legacy.End), time.Duration(named.End))
+			aliased := workloads.Execute(spec, app.mode, pair.aliased)
+			canonical := workloads.Execute(spec, app.mode, pair.canonical)
+			if aliased.End != canonical.End {
+				t.Errorf("%s/%s: end time drifted across spellings: aliased %v, canonical %v",
+					pair.name, app.name, time.Duration(aliased.End), time.Duration(canonical.End))
 			}
-			lm := core.Decompose(legacy.Runtime.Tracer())
-			nm := core.Decompose(named.Runtime.Tracer())
-			if lm != nm {
-				t.Errorf("%s/%s: fitted model drifted across spellings:\nlegacy %+v\nnamed  %+v",
-					pair.name, app.name, lm, nm)
+			am := core.Decompose(aliased.Runtime.Tracer())
+			cm := core.Decompose(canonical.Runtime.Tracer())
+			if am != cm {
+				t.Errorf("%s/%s: fitted model drifted across spellings:\naliased   %+v\ncanonical %+v",
+					pair.name, app.name, am, cm)
 			}
 		}
 	}
 }
 
 // TestModeSpellingNN pins the CNN-training and LLM-serving paths the same
-// way: the Mode-string spelling must reproduce the CC-boolean spelling
-// exactly, including the canonicalized config echoed in the result.
+// way: an alias must reproduce the canonical name exactly, including the
+// canonicalized config echoed in the result.
 func TestModeSpellingNN(t *testing.T) {
 	model, err := nn.ModelByName("resnet50")
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacyTrain := nn.TrainSimulate(nn.TrainConfig{Model: model, Batch: 64, Precision: nn.FP32, CC: true})
-	namedTrain := nn.TrainSimulate(nn.TrainConfig{Model: model, Batch: 64, Precision: nn.FP32, Mode: "tdx-h100"})
-	if legacyTrain != namedTrain {
-		t.Errorf("CNN training drifted across spellings:\nlegacy %+v\nnamed  %+v", legacyTrain, namedTrain)
+	aliasedTrain := nn.TrainSimulate(nn.TrainConfig{Model: model, Batch: 64, Precision: nn.FP32, Mode: "tdx"})
+	canonicalTrain := nn.TrainSimulate(nn.TrainConfig{Model: model, Batch: 64, Precision: nn.FP32, Mode: "tdx-h100"})
+	if aliasedTrain != canonicalTrain {
+		t.Errorf("CNN training drifted across spellings:\naliased   %+v\ncanonical %+v", aliasedTrain, canonicalTrain)
 	}
-	legacyLLM := nn.LLMSimulate(nn.LLMConfig{Backend: nn.VLLM, Quant: nn.BF16, Batch: 32, CC: true})
-	namedLLM := nn.LLMSimulate(nn.LLMConfig{Backend: nn.VLLM, Quant: nn.BF16, Batch: 32, Mode: "tdx"})
-	if legacyLLM != namedLLM {
-		t.Errorf("LLM serving drifted across spellings:\nlegacy %+v\nnamed  %+v", legacyLLM, namedLLM)
+	aliasedLLM := nn.LLMSimulate(nn.LLMConfig{Backend: nn.VLLM, Quant: nn.BF16, Batch: 32, Mode: "tee-io"})
+	canonicalLLM := nn.LLMSimulate(nn.LLMConfig{Backend: nn.VLLM, Quant: nn.BF16, Batch: 32, Mode: "tee-io-bridge"})
+	if aliasedLLM != canonicalLLM {
+		t.Errorf("LLM serving drifted across spellings:\naliased   %+v\ncanonical %+v", aliasedLLM, canonicalLLM)
 	}
 }
 
 // TestModeSpellingSystem pins the facade-level transfer path: a 256 MiB
-// pinned H2D copy must cost exactly the same under DefaultConfig(cc) and
-// the equivalent named mode.
+// pinned H2D copy must cost exactly the same under every spelling of a
+// mode.
 func TestModeSpellingSystem(t *testing.T) {
 	for _, pair := range spellingPairs() {
 		run := func(cfg cuda.Config) time.Duration { return ms256(t, cfg) }
-		if l, n := run(pair.legacy), run(pair.named); l != n {
-			t.Errorf("%s: 256 MiB copy drifted across spellings: legacy %v, named %v", pair.name, l, n)
+		if a, c := run(pair.aliased), run(pair.canonical); a != c {
+			t.Errorf("%s: 256 MiB copy drifted across spellings: aliased %v, canonical %v", pair.name, a, c)
 		}
 	}
 }

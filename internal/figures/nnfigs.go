@@ -3,6 +3,7 @@ package figures
 import (
 	"fmt"
 
+	"hccsim/internal/cuda"
 	"hccsim/internal/nn"
 )
 
@@ -27,7 +28,7 @@ func Fig13CNN() Table {
 			}
 			for _, prec := range precs {
 				for _, cc := range []bool{false, true} {
-					r := nn.TrainSimulate(nn.TrainConfig{Model: m, Batch: batch, Precision: prec, CC: cc})
+					r := nn.TrainSimulateWith(nn.TrainConfig{Model: m, Batch: batch, Precision: prec}, cuda.DefaultConfig(cc))
 					mode := "base"
 					if cc {
 						mode = "cc"
@@ -43,11 +44,11 @@ func Fig13CNN() Table {
 						}
 					}
 					if prec == nn.FP16 && cc && batch == 1024 {
-						ccFP32 := nn.TrainSimulate(nn.TrainConfig{Model: m, Batch: batch, Precision: nn.FP32, CC: true})
+						ccFP32 := nn.TrainSimulate(nn.TrainConfig{Model: m, Batch: batch, Precision: nn.FP32, Mode: "tdx-h100"})
 						fp16Cut += 1 - r.TrainingTime.Seconds()/ccFP32.TrainingTime.Seconds()
 					}
 					if prec == nn.AMP && cc && batch == 64 {
-						ccFP32 := nn.TrainSimulate(nn.TrainConfig{Model: m, Batch: 64, Precision: nn.FP32, CC: true})
+						ccFP32 := nn.TrainSimulate(nn.TrainConfig{Model: m, Batch: 64, Precision: nn.FP32, Mode: "tdx-h100"})
 						ampEffect64 += 1 - r.Throughput/ccFP32.Throughput
 					}
 				}
@@ -82,7 +83,7 @@ func Fig14LLM() Table {
 		row := []interface{}{fmt.Sprintf("%s|cc-%v|vllm", s.quant, onOff(s.cc))}
 		for _, b := range nn.Batches {
 			baseline := nn.LLMSimulate(nn.LLMConfig{Backend: nn.HF, Quant: nn.BF16, Batch: b})
-			v := nn.LLMSimulate(nn.LLMConfig{Backend: nn.VLLM, Quant: s.quant, Batch: b, CC: s.cc})
+			v := nn.LLMSimulateWith(nn.LLMConfig{Backend: nn.VLLM, Quant: s.quant, Batch: b}, cuda.DefaultConfig(s.cc))
 			speedup := v.TokensPerSec / baseline.TokensPerSec
 			if speedup < minSpeedup {
 				minSpeedup = speedup

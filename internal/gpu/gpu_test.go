@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"hccsim/internal/ccmode"
 	"hccsim/internal/hbm"
 	"hccsim/internal/pcie"
 	"hccsim/internal/sim"
@@ -23,7 +24,11 @@ type rig struct {
 
 func newRig(cc bool) *rig {
 	eng := sim.NewEngine()
-	pl := tdx.NewLegacyPlatform(eng, cc, tdxParams())
+	var mode ccmode.Mode = ccmode.Off{}
+	if cc {
+		mode = ccmode.TDXH100{}
+	}
+	pl := tdx.NewPlatform(eng, mode, tdxParams())
 	link := pcie.NewLink(eng, pcieParams())
 	mem := hbm.NewAllocator(hbmParams())
 	mgr := uvm.NewManager(eng, pl, link, uvmParams())

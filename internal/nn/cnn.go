@@ -88,9 +88,7 @@ type TrainConfig struct {
 	Model     CNNModel
 	Batch     int
 	Precision Precision
-	CC        bool
-	// Mode optionally names the protection mode (ccmode.ByName); when set it
-	// takes precedence over the deprecated CC boolean.
+	// Mode names the protection mode (ccmode.ByName); empty means off.
 	Mode string
 }
 
@@ -123,13 +121,13 @@ func PrecisionByName(name string) (Precision, error) {
 // and projects full-training numbers. It panics on an unknown cfg.Mode
 // name, mirroring cuda.New's fatal-config contract.
 func TrainSimulate(cfg TrainConfig) TrainResult {
-	return TrainSimulateWith(cfg, sysConfig(cfg.Mode, cfg.CC))
+	return TrainSimulateWith(cfg, sysConfig(cfg.Mode))
 }
 
 // TrainSimulateWith is TrainSimulate on an explicit system configuration —
 // the entry point parameter sweeps use to vary substrate constants. The
 // system config's resolved protection mode is authoritative and is written
-// back to cfg.Mode/cfg.CC. It panics on an unresolvable sys mode, mirroring
+// back to cfg.Mode. It panics on an unresolvable sys mode, mirroring
 // cuda.New's fatal-config contract.
 func TrainSimulateWith(cfg TrainConfig, sys cuda.Config) TrainResult {
 	mode, err := sys.ResolveMode()
@@ -137,7 +135,6 @@ func TrainSimulateWith(cfg TrainConfig, sys cuda.Config) TrainResult {
 		panic("nn: " + err.Error())
 	}
 	cfg.Mode = mode.Name()
-	cfg.CC = mode.CC()
 	eng := sim.NewEngine()
 	rt := cuda.New(eng, sys)
 

@@ -92,16 +92,14 @@ type LLMConfig struct {
 	Backend Backend
 	Quant   Quant
 	Batch   int
-	CC      bool
-	// Mode optionally names the protection mode (ccmode.ByName); when set it
-	// takes precedence over the deprecated CC boolean.
+	// Mode names the protection mode (ccmode.ByName); empty means off.
 	Mode string
 }
 
 func (c LLMConfig) String() string {
-	mode := "cc-off"
-	if c.CC {
-		mode = "cc-on"
+	mode := c.Mode
+	if mode == "" {
+		mode = "off"
 	}
 	return fmt.Sprintf("%s|%s|%s|b%d", c.Quant, mode, c.Backend, c.Batch)
 }
@@ -141,13 +139,13 @@ func QuantByName(name string) (Quant, error) {
 // frameworks amortize it away. It panics on an unknown cfg.Mode name,
 // mirroring cuda.New's fatal-config contract.
 func LLMSimulate(cfg LLMConfig) LLMResult {
-	return LLMSimulateWith(cfg, sysConfig(cfg.Mode, cfg.CC))
+	return LLMSimulateWith(cfg, sysConfig(cfg.Mode))
 }
 
 // LLMSimulateWith is LLMSimulate on an explicit system configuration — the
 // entry point parameter sweeps use to vary substrate constants. The system
 // config's resolved protection mode is authoritative and is written back to
-// cfg.Mode/cfg.CC. It panics on an unresolvable sys mode, mirroring
+// cfg.Mode. It panics on an unresolvable sys mode, mirroring
 // cuda.New's fatal-config contract.
 func LLMSimulateWith(cfg LLMConfig, sys cuda.Config) LLMResult {
 	mode, err := sys.ResolveMode()
@@ -155,7 +153,6 @@ func LLMSimulateWith(cfg LLMConfig, sys cuda.Config) LLMResult {
 		panic("nn: " + err.Error())
 	}
 	cfg.Mode = mode.Name()
-	cfg.CC = mode.CC()
 	eng := sim.NewEngine()
 	rt := cuda.New(eng, sys)
 	prof := profileOf(cfg.Backend)

@@ -3,13 +3,9 @@ package nn
 import "hccsim/internal/cuda"
 
 // sysConfig builds the default system for a workload-level protection-mode
-// request: the named mode when set, else the deprecated CC boolean. It
-// panics on an unknown mode name, mirroring cuda.New's fatal-config
-// contract.
-func sysConfig(mode string, cc bool) cuda.Config {
-	if mode == "" {
-		return cuda.DefaultConfig(cc)
-	}
+// request ("" meaning off). It panics on an unknown mode name, mirroring
+// cuda.New's fatal-config contract.
+func sysConfig(mode string) cuda.Config {
 	cfg, err := cuda.NewConfig(mode)
 	if err != nil {
 		panic("nn: " + err.Error())

@@ -28,9 +28,9 @@ func TestCNNCCSlowdownShape(t *testing.T) {
 	var drop64, drop1024 float64
 	for _, m := range Models() {
 		b64 := TrainSimulate(TrainConfig{Model: m, Batch: 64, Precision: FP32})
-		b64cc := TrainSimulate(TrainConfig{Model: m, Batch: 64, Precision: FP32, CC: true})
+		b64cc := TrainSimulate(TrainConfig{Model: m, Batch: 64, Precision: FP32, Mode: "tdx-h100"})
 		b1k := TrainSimulate(TrainConfig{Model: m, Batch: 1024, Precision: FP32})
-		b1kcc := TrainSimulate(TrainConfig{Model: m, Batch: 1024, Precision: FP32, CC: true})
+		b1kcc := TrainSimulate(TrainConfig{Model: m, Batch: 1024, Precision: FP32, Mode: "tdx-h100"})
 		drop64 += 1 - b64cc.Throughput/b64.Throughput
 		drop1024 += 1 - b1kcc.Throughput/b1k.Throughput
 	}
@@ -52,10 +52,10 @@ func TestCNNCCSlowdownShape(t *testing.T) {
 func TestAMPHurtsSmallBatchHelpsLarge(t *testing.T) {
 	var r64, r1024 float64
 	for _, m := range Models() {
-		fp64 := TrainSimulate(TrainConfig{Model: m, Batch: 64, Precision: FP32, CC: true})
-		amp64 := TrainSimulate(TrainConfig{Model: m, Batch: 64, Precision: AMP, CC: true})
-		fp1k := TrainSimulate(TrainConfig{Model: m, Batch: 1024, Precision: FP32, CC: true})
-		amp1k := TrainSimulate(TrainConfig{Model: m, Batch: 1024, Precision: AMP, CC: true})
+		fp64 := TrainSimulate(TrainConfig{Model: m, Batch: 64, Precision: FP32, Mode: "tdx-h100"})
+		amp64 := TrainSimulate(TrainConfig{Model: m, Batch: 64, Precision: AMP, Mode: "tdx-h100"})
+		fp1k := TrainSimulate(TrainConfig{Model: m, Batch: 1024, Precision: FP32, Mode: "tdx-h100"})
+		amp1k := TrainSimulate(TrainConfig{Model: m, Batch: 1024, Precision: AMP, Mode: "tdx-h100"})
 		r64 += amp64.Throughput / fp64.Throughput
 		r1024 += amp1k.Throughput / fp1k.Throughput
 	}
@@ -73,8 +73,8 @@ func TestAMPHurtsSmallBatchHelpsLarge(t *testing.T) {
 func TestFP16CutsTrainingTime(t *testing.T) {
 	var ratio float64
 	for _, m := range Models() {
-		fp32 := TrainSimulate(TrainConfig{Model: m, Batch: 1024, Precision: FP32, CC: true})
-		fp16 := TrainSimulate(TrainConfig{Model: m, Batch: 1024, Precision: FP16, CC: true})
+		fp32 := TrainSimulate(TrainConfig{Model: m, Batch: 1024, Precision: FP32, Mode: "tdx-h100"})
+		fp16 := TrainSimulate(TrainConfig{Model: m, Batch: 1024, Precision: FP16, Mode: "tdx-h100"})
 		ratio += fp16.TrainingTime.Seconds() / fp32.TrainingTime.Seconds()
 	}
 	ratio /= 6
@@ -100,12 +100,12 @@ func TestLLMShape(t *testing.T) {
 	// vLLM beats HF at every configuration (all Fig 14 values > 1).
 	for _, b := range Batches {
 		for _, q := range []Quant{BF16, AWQ} {
-			for _, cc := range []bool{false, true} {
-				hf := LLMSimulate(LLMConfig{Backend: HF, Quant: q, Batch: b, CC: cc})
-				vl := LLMSimulate(LLMConfig{Backend: VLLM, Quant: q, Batch: b, CC: cc})
+			for _, mode := range []string{"off", "tdx-h100"} {
+				hf := LLMSimulate(LLMConfig{Backend: HF, Quant: q, Batch: b, Mode: mode})
+				vl := LLMSimulate(LLMConfig{Backend: VLLM, Quant: q, Batch: b, Mode: mode})
 				if vl.TokensPerSec <= hf.TokensPerSec {
-					t.Errorf("b=%d %s cc=%v: vLLM (%.0f) not faster than HF (%.0f)",
-						b, q, cc, vl.TokensPerSec, hf.TokensPerSec)
+					t.Errorf("b=%d %s %s: vLLM (%.0f) not faster than HF (%.0f)",
+						b, q, mode, vl.TokensPerSec, hf.TokensPerSec)
 				}
 			}
 		}
@@ -116,7 +116,7 @@ func TestLLMCCOverheadAndQuantCrossover(t *testing.T) {
 	// CC-on is slower than CC-off.
 	for _, b := range []int{1, 32, 128} {
 		off := LLMSimulate(LLMConfig{Backend: VLLM, Quant: BF16, Batch: b})
-		on := LLMSimulate(LLMConfig{Backend: VLLM, Quant: BF16, Batch: b, CC: true})
+		on := LLMSimulate(LLMConfig{Backend: VLLM, Quant: BF16, Batch: b, Mode: "tdx-h100"})
 		if on.TokensPerSec >= off.TokensPerSec {
 			t.Errorf("b=%d: CC-on (%.0f) not slower than CC-off (%.0f)",
 				b, on.TokensPerSec, off.TokensPerSec)

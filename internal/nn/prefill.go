@@ -19,7 +19,6 @@ type PrefillResult struct {
 	Backend    Backend
 	Quant      Quant
 	PromptLen  int
-	CC         bool
 	WarmTTFT   time.Duration // prompt pass + first decode step, weights resident
 	WeightLoad time.Duration // H2D time for the full weight set
 	ColdTTFT   time.Duration // WeightLoad + WarmTTFT
@@ -28,7 +27,7 @@ type PrefillResult struct {
 // PrefillSimulate measures warm TTFT and the cold-start weight load for one
 // configuration on the simulator.
 func PrefillSimulate(backend Backend, quant Quant, promptLen int, cc bool) PrefillResult {
-	return PrefillSimulateWith(backend, quant, promptLen, sysConfig("", cc))
+	return PrefillSimulateWith(backend, quant, promptLen, cuda.DefaultConfig(cc))
 }
 
 // PrefillSimulateWith is PrefillSimulate on an explicit system
@@ -39,7 +38,6 @@ func PrefillSimulateWith(backend Backend, quant Quant, promptLen int, sys cuda.C
 	if err != nil {
 		panic("nn: " + err.Error())
 	}
-	cc := mode.CC()
 	prof := profileOf(backend)
 	weightBytes := WeightBytes(quant)
 	computeScale := computeScaleOf(quant)
@@ -96,7 +94,7 @@ func PrefillSimulateWith(backend Backend, quant Quant, promptLen int, sys cuda.C
 	eng.Run()
 
 	return PrefillResult{
-		Backend: backend, Quant: quant, PromptLen: promptLen, CC: cc,
+		Backend: backend, Quant: quant, PromptLen: promptLen,
 		WarmTTFT: warm, WeightLoad: load, ColdTTFT: load + warm,
 	}
 }

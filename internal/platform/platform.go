@@ -132,7 +132,7 @@ type Profile struct {
 	name        string
 	description string
 	// native is the canonical name of the platform's flagship CC mode —
-	// what "cc" means on this hardware (off vs native is the headline
+	// what CC-on means on this hardware (off vs native is the headline
 	// comparison of the cross-platform figures).
 	native string
 	// modes lists the canonical base-mode names valid on the platform; a

@@ -4,10 +4,10 @@ import "sync/atomic"
 
 // Process-wide scheduling counters, aggregated from every engine as its
 // Run/RunUntil completes. Campaigns (figure generation, sweeps) build one
-// engine per simulated system, so per-engine Stats vanish with the system;
-// the global counters let harnesses (cmd/hccbench -json) report sim-wide
-// events/sec for a whole campaign. Simulation results never read these —
-// they are observability only, so the atomics do not affect determinism.
+// engine per simulated system, so per-engine Stats vanish with the system; the
+// global counters let harnesses (the hccperf benchmark) report sim-wide work
+// counts for a whole campaign. Simulation results never read these — they are
+// observability only, so the atomics do not affect determinism.
 var (
 	gFired    atomic.Uint64
 	gSched    atomic.Uint64

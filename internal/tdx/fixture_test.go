@@ -41,10 +41,3 @@ func snpParams() Params {
 	p.ScrubPerPage = 1100 * time.Nanosecond
 	return p
 }
-
-// teeioParams is the TDX Connect projection via the deprecated TEEIO flag.
-func teeioParams() Params {
-	p := defaultParams()
-	p.TEEIO = true
-	return p
-}

@@ -68,17 +68,9 @@ type Params struct {
 	// path is single-threaded — Observation 2); PipeLLM-style runtime
 	// modifications parallelize it.
 	CryptoWorkers int
-	// TEEIO enables the TDX Connect / PCIe TEE-IO projection the paper
-	// points to as the hardware fix: the device joins the TCB, DMA is
-	// line-rate hardware IDE (no bounce buffer, no software crypto) and
-	// trusted MMIO no longer exits. IDEPerTLP adds the residual link-layer
-	// encryption latency per transaction.
-	//
-	// Deprecated: TEEIO is a legacy alias consumed only by ccmode.Legacy
-	// when Config.Mode is empty — it resolves to the "tee-io-direct" mode.
-	// Platform behavior is driven by the resolved ccmode.Mode, never by
-	// this flag directly.
-	TEEIO     bool
+	// IDEPerTLP is the residual link-layer encryption latency per
+	// transaction on the TEE-IO paths (hardware IDE, no bounce buffer, no
+	// software crypto).
 	IDEPerTLP time.Duration
 	// BridgeGBps is the achievable rate through the serialized encrypted
 	// CPU-GPU bridge of the "tee-io-bridge" mode (The Serialized Bridge:
@@ -158,13 +150,6 @@ func NewPlatform(eng *sim.Engine, mode ccmode.Mode, params Params) *Platform {
 		pl.crypto = sc
 	}
 	return pl
-}
-
-// NewLegacyPlatform resolves the deprecated cc flag (plus params.TEEIO) to
-// a protection mode — the compatibility shim for pre-mode call sites. The
-// panic contract is NewPlatform's.
-func NewLegacyPlatform(eng *sim.Engine, cc bool, params Params) *Platform {
-	return NewPlatform(eng, ccmode.Legacy(cc, params.TEEIO), params)
 }
 
 // SetObserver attaches the observability layer and registers the

@@ -5,12 +5,17 @@ import (
 	"testing/quick"
 	"time"
 
+	"hccsim/internal/ccmode"
 	"hccsim/internal/sim"
 )
 
 func run(cc bool, body func(pl *Platform, p *sim.Proc)) (*Platform, sim.Time) {
 	eng := sim.NewEngine()
-	pl := NewLegacyPlatform(eng, cc, defaultParams())
+	var mode ccmode.Mode = ccmode.Off{}
+	if cc {
+		mode = ccmode.TDXH100{}
+	}
+	pl := NewPlatform(eng, mode, defaultParams())
 	eng.Spawn("t", func(p *sim.Proc) { body(pl, p) })
 	end := eng.Run()
 	return pl, end
@@ -69,7 +74,7 @@ func TestPageOpsScaleWithPages(t *testing.T) {
 
 func TestEncryptChargesCryptoWorkerSerially(t *testing.T) {
 	eng := sim.NewEngine()
-	pl := NewLegacyPlatform(eng, true, defaultParams())
+	pl := NewPlatform(eng, ccmode.TDXH100{}, defaultParams())
 	const n = 10 << 20
 	var ends []sim.Time
 	for i := 0; i < 2; i++ {
@@ -96,7 +101,7 @@ func TestBouncePoolBlocksWhenExhausted(t *testing.T) {
 	eng := sim.NewEngine()
 	params := defaultParams()
 	params.BounceBufBytes = 1 << 20
-	pl := NewLegacyPlatform(eng, true, params)
+	pl := NewPlatform(eng, ccmode.TDXH100{}, params)
 	var secondStart sim.Time
 	eng.Spawn("a", func(p *sim.Proc) {
 		pl.BounceAcquire(p, 1<<20)
@@ -122,7 +127,7 @@ func TestBounceOversizedRequestPanics(t *testing.T) {
 	eng := sim.NewEngine()
 	params := defaultParams()
 	params.BounceBufBytes = 4096
-	pl := NewLegacyPlatform(eng, true, params)
+	pl := NewPlatform(eng, ccmode.TDXH100{}, params)
 	eng.Spawn("a", func(p *sim.Proc) {
 		defer func() {
 			if recover() == nil {
@@ -136,7 +141,7 @@ func TestBounceOversizedRequestPanics(t *testing.T) {
 
 func TestBounceUnderflowPanics(t *testing.T) {
 	eng := sim.NewEngine()
-	pl := NewLegacyPlatform(eng, true, defaultParams())
+	pl := NewPlatform(eng, ccmode.TDXH100{}, defaultParams())
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on bounce underflow")
@@ -170,7 +175,7 @@ func TestPropertyCCAlwaysCostsMore(t *testing.T) {
 
 func TestCryptoTimeZeroWithoutCC(t *testing.T) {
 	eng := sim.NewEngine()
-	pl := NewLegacyPlatform(eng, false, defaultParams())
+	pl := NewPlatform(eng, ccmode.Off{}, defaultParams())
 	if pl.CryptoTime(1<<20) != 0 {
 		t.Fatal("CryptoTime should be 0 without CC")
 	}
@@ -179,7 +184,6 @@ func TestCryptoTimeZeroWithoutCC(t *testing.T) {
 func TestProfilePresets(t *testing.T) {
 	td := defaultParams()
 	snp := snpParams()
-	teeio := teeioParams()
 	// SNP: cheaper exits, dearer page-state changes.
 	if snp.Hypercall >= td.Hypercall {
 		t.Fatal("SNP VMGEXIT not cheaper than TDX SEAM transit")
@@ -187,14 +191,11 @@ func TestProfilePresets(t *testing.T) {
 	if snp.SEPTPerPage <= td.SEPTPerPage || snp.ConvertPerPage <= td.ConvertPerPage {
 		t.Fatal("SNP RMP page operations not dearer than TDX SEPT")
 	}
-	if !teeio.TEEIO || td.TEEIO || snp.TEEIO {
-		t.Fatal("TEEIO flag wrong across presets")
-	}
 }
 
 func TestAccessorsAndPaths(t *testing.T) {
 	eng := sim.NewEngine()
-	pl := NewLegacyPlatform(eng, true, defaultParams())
+	pl := NewPlatform(eng, ccmode.TDXH100{}, defaultParams())
 	if !pl.CC() || !pl.SoftwareCryptoPath() {
 		t.Fatal("stock TD should report CC + software crypto path")
 	}
@@ -207,7 +208,7 @@ func TestAccessorsAndPaths(t *testing.T) {
 	if pl.MMIOCost() != defaultParams().Hypercall {
 		t.Fatal("TD MMIOCost should be a hypercall")
 	}
-	vm := NewLegacyPlatform(eng, false, defaultParams())
+	vm := NewPlatform(eng, ccmode.Off{}, defaultParams())
 	if vm.SoftwareCryptoPath() {
 		t.Fatal("legacy VM reports software crypto path")
 	}
@@ -218,7 +219,7 @@ func TestAccessorsAndPaths(t *testing.T) {
 
 func TestHypercallAndHostMemcpy(t *testing.T) {
 	eng := sim.NewEngine()
-	pl := NewLegacyPlatform(eng, true, defaultParams())
+	pl := NewPlatform(eng, ccmode.TDXH100{}, defaultParams())
 	eng.Spawn("t", func(p *sim.Proc) {
 		pl.Hypercall(p)
 		pl.HostMemcpy(p, 115*1000*1000) // ~10ms at 11.5 GB/s
@@ -237,17 +238,17 @@ func TestHypercallAndHostMemcpy(t *testing.T) {
 
 func TestTEEIOEncryptDecryptAreIDE(t *testing.T) {
 	eng := sim.NewEngine()
-	pl := NewLegacyPlatform(eng, true, teeioParams())
+	pl := NewPlatform(eng, ccmode.TEEIODirect{}, defaultParams())
 	eng.Spawn("t", func(p *sim.Proc) {
 		pl.Encrypt(p, 1<<30)
 		pl.Decrypt(p, 1<<30)
 	})
 	end := eng.Run()
-	want := 2 * teeioParams().IDEPerTLP
+	want := 2 * defaultParams().IDEPerTLP
 	if time.Duration(end) != want {
 		t.Fatalf("TEE-IO crypto = %v, want %v (hardware IDE)", time.Duration(end), want)
 	}
-	if pl.CryptoTime(1<<20) != teeioParams().IDEPerTLP {
+	if pl.CryptoTime(1<<20) != defaultParams().IDEPerTLP {
 		t.Fatal("TEE-IO CryptoTime wrong")
 	}
 	if pl.Stats().BytesEncrypted != 1<<30 || pl.Stats().BytesDecrypted != 1<<30 {
@@ -257,7 +258,7 @@ func TestTEEIOEncryptDecryptAreIDE(t *testing.T) {
 
 func TestDecryptChargesWorker(t *testing.T) {
 	eng := sim.NewEngine()
-	pl := NewLegacyPlatform(eng, true, defaultParams())
+	pl := NewPlatform(eng, ccmode.TDXH100{}, defaultParams())
 	eng.Spawn("t", func(p *sim.Proc) { pl.Decrypt(p, 33_600_000) }) // ~10ms at 3.36GB/s
 	end := eng.Run()
 	if time.Duration(end) < 9*time.Millisecond {
@@ -270,7 +271,7 @@ func TestDecryptChargesWorker(t *testing.T) {
 
 func TestPartialPageRoundUpOps(t *testing.T) {
 	eng := sim.NewEngine()
-	pl := NewLegacyPlatform(eng, true, defaultParams())
+	pl := NewPlatform(eng, ccmode.TDXH100{}, defaultParams())
 	eng.Spawn("t", func(p *sim.Proc) {
 		pl.AcceptPrivate(p, 1)
 		pl.ScrubPrivate(p, 1)

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"hccsim/internal/ccmode"
 	"hccsim/internal/pcie"
 	"hccsim/internal/sim"
 	"hccsim/internal/tdx"
@@ -19,7 +20,11 @@ type rig struct {
 
 func newRig(cc bool) *rig {
 	eng := sim.NewEngine()
-	pl := tdx.NewLegacyPlatform(eng, cc, tdxParams())
+	var mode ccmode.Mode = ccmode.Off{}
+	if cc {
+		mode = ccmode.TDXH100{}
+	}
+	pl := tdx.NewPlatform(eng, mode, tdxParams())
 	link := pcie.NewLink(eng, pcieParams())
 	return &rig{eng: eng, pl: pl, link: link, mgr: NewManager(eng, pl, link, defaultParams())}
 }

@@ -8,11 +8,8 @@ import (
 
 // Result is one completed application run.
 type Result struct {
-	Spec Spec
-	Mode Mode
-	// CCMode is the canonical name of the resolved protection mode.
-	CCMode  string
-	CC      bool
+	Spec    Spec
+	Mode    Mode
 	Runtime *cuda.Runtime
 	End     sim.Time
 }
@@ -43,11 +40,7 @@ func ExecuteObserved(spec Spec, mode Mode, cfg cuda.Config, o *obs.Observer) Res
 	if o != nil {
 		rt.PublishMetrics()
 	}
-	return Result{
-		Spec: spec, Mode: mode,
-		CCMode: rt.Mode().Name(), CC: rt.CC(),
-		Runtime: rt, End: end,
-	}
+	return Result{Spec: spec, Mode: mode, Runtime: rt, End: end}
 }
 
 // Pair runs the same application CC-off and CC-on with default configs —
