@@ -40,6 +40,40 @@ func BenchmarkEngineScheduleFireDepth256(b *testing.B) {
 	}
 }
 
+// BenchmarkProcSleepUncontended measures a lone process's Sleep: nothing
+// else is pending, so the clock advances inline with no context switch.
+func BenchmarkProcSleepUncontended(b *testing.B) {
+	e := NewEngine()
+	e.Spawn("sleeper", func(p *Proc) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.Sleep(time.Nanosecond)
+		}
+	})
+	e.Run()
+}
+
+// BenchmarkProcContextSwitch measures a Sleep that must yield: an event is
+// kept pending at each wake-up instant, so every Sleep round-trips through
+// the engine goroutine (plus one schedule/fire of the pending event).
+func BenchmarkProcContextSwitch(b *testing.B) {
+	e := NewEngine()
+	nop := func() {}
+	e.Spawn("switcher", func(p *Proc) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.Schedule(time.Nanosecond, nop)
+			p.Sleep(time.Nanosecond)
+		}
+	})
+	e.Run()
+	if h := e.Stats().Handoffs; h != uint64(b.N)+1 {
+		b.Fatalf("Handoffs = %d, want one per Sleep plus the start", h)
+	}
+}
+
 // BenchmarkQueuePutGet measures the producer/consumer round trip through a
 // typed command queue, including the process context switches.
 func BenchmarkQueuePutGet(b *testing.B) {

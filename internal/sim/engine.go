@@ -10,7 +10,9 @@
 //   - Processes (Proc) are ordinary Go functions that receive a *Proc handle
 //     and use it to sleep, wait on signals, acquire resources, and exchange
 //     items through queues. Host programs with complex control flow (CUDA
-//     applications, workload scripts) are written as processes.
+//     applications, workload scripts) are written as processes. A resume
+//     costs a goroutine handoff, except that an uncontended Sleep — nothing
+//     else pending at or before its wake-up — advances the clock inline.
 //   - Actors are run-to-completion state machines whose continuation steps
 //     fire inline in the engine loop — no goroutine, no channel operations
 //     per resume. Hot daemon loops (device engines, schedulers) use them.
@@ -24,6 +26,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -69,9 +72,10 @@ type Stats struct {
 	// Scheduled counts enqueued events.
 	Scheduled uint64
 	// Handoffs counts engine->process control transfers, each one a
-	// channel round trip plus two goroutine switches — the irreducible
-	// cost of goroutine-based coroutines, and exactly what the actor
-	// runtime's inline steps avoid.
+	// channel round trip plus two goroutine switches — the cost of
+	// goroutine-based coroutines, and exactly what the actor runtime's
+	// inline steps avoid. An uncontended Proc.Sleep advances the clock
+	// inline and counts toward Fired and Scheduled but not Handoffs.
 	Handoffs uint64
 	// ActorSteps counts actor continuation steps fired inline in the
 	// engine loop — resumes that cost no channel operation and no
@@ -94,6 +98,7 @@ type Engine struct {
 	actors   int           // non-daemon actors spawned and not yet Done
 	blocked  int           // processes currently waiting on something
 	running  bool
+	horizon  Time // latest instant the current Run/RunUntil may reach
 	fired    uint64
 	sched    uint64
 	handoffs uint64
@@ -188,6 +193,7 @@ func (e *Engine) Run() Time {
 		panic("sim: Run called re-entrantly")
 	}
 	e.running = true
+	e.horizon = math.MaxInt64
 	defer func() {
 		e.running = false
 		e.flushGlobal()
@@ -207,6 +213,7 @@ func (e *Engine) Run() Time {
 // while non-daemon tasks are still blocked, they can never be resumed, and
 // RunUntil panics with the same deadlock report as Run.
 func (e *Engine) RunUntil(deadline Time) Time {
+	e.horizon = deadline
 	defer e.flushGlobal()
 	for {
 		at, ok := e.queue.MinAt()

@@ -394,18 +394,28 @@ func TestEngineStats(t *testing.T) {
 
 // The engine's steady-state hot path must not allocate: schedule/fire with
 // a warm arena reuses free-list slots, and direct process resumes carry no
-// closures.
+// closures. Both Sleep paths are covered: the inline one, and the yielding
+// one forced by an event pending at the wake-up instant.
 func TestSteadyStateSchedulingDoesNotAllocate(t *testing.T) {
 	e := NewEngine()
 	done := false
+	nop := func() {}
+	contended := func(p *Proc) {
+		e.Schedule(time.Nanosecond, nop)
+		p.Sleep(time.Nanosecond)
+	}
 	e.Spawn("ticker", func(p *Proc) {
 		// Warm up the arena and backing arrays.
 		for i := 0; i < 100; i++ {
-			p.Sleep(time.Nanosecond)
+			contended(p)
 		}
 		allocs := testing.AllocsPerRun(100, func() { p.Sleep(time.Nanosecond) })
 		if allocs > 0 {
 			t.Errorf("steady-state Sleep allocates %.1f times per op, want 0", allocs)
+		}
+		allocs = testing.AllocsPerRun(100, func() { contended(p) })
+		if allocs > 0 {
+			t.Errorf("steady-state yielding Sleep allocates %.1f times per op, want 0", allocs)
 		}
 		done = true
 	})
@@ -413,6 +423,144 @@ func TestSteadyStateSchedulingDoesNotAllocate(t *testing.T) {
 	if !done {
 		t.Fatal("ticker never ran")
 	}
+}
+
+// An event pending at exactly the wake-up instant was scheduled first, so it
+// must still run before the sleeper: Sleep takes the slow path and yields.
+func TestSleepYieldsToEventAtWakeInstant(t *testing.T) {
+	e := NewEngine()
+	var log []string
+	e.Schedule(10*time.Nanosecond, func() { log = append(log, "event") })
+	e.Spawn("sleeper", func(p *Proc) {
+		p.Sleep(10 * time.Nanosecond)
+		log = append(log, "sleeper")
+	})
+	e.Run()
+	if strings.Join(log, ",") != "event,sleeper" {
+		t.Fatalf("order = %v, want the pending event first", log)
+	}
+	if h := e.Stats().Handoffs; h != 2 {
+		t.Fatalf("Handoffs = %d, want 2 (start + yielding Sleep)", h)
+	}
+}
+
+// Sleep(0), and a negative duration clamped to it, must let an already
+// scheduled same-time event run first.
+func TestZeroAndNegativeSleepYieldToSameTimeEvent(t *testing.T) {
+	for _, d := range []Duration{0, -5 * time.Nanosecond} {
+		e := NewEngine()
+		var log []string
+		e.Spawn("p", func(p *Proc) {
+			p.Sleep(3 * time.Nanosecond)
+			e.Schedule(0, func() { log = append(log, "event") })
+			p.Sleep(d)
+			log = append(log, "sleeper")
+			if p.Now() != 3 {
+				t.Errorf("Sleep(%v) moved the clock to %v, want 3ns", d, p.Now())
+			}
+		})
+		e.Run()
+		if strings.Join(log, ",") != "event,sleeper" {
+			t.Fatalf("Sleep(%v): order = %v, want the pending event first", d, log)
+		}
+	}
+}
+
+// With nothing else pending, a negative Sleep is a zero-length inline step.
+func TestNegativeSleepIsZero(t *testing.T) {
+	e := NewEngine()
+	e.Spawn("p", func(p *Proc) {
+		p.Sleep(-time.Second)
+		if p.Now() != 0 {
+			t.Errorf("now = %v after Sleep(-1s), want 0", p.Now())
+		}
+	})
+	e.Run()
+	if st := e.Stats(); st.Fired != 2 || st.Handoffs != 1 {
+		t.Fatalf("Fired = %d, Handoffs = %d; want 2 and 1", st.Fired, st.Handoffs)
+	}
+}
+
+// A lone process never contends for the clock: every Sleep still counts
+// one scheduled and one fired event, but only the start hands off.
+func TestLoneSleepLoopCountsEventsNotHandoffs(t *testing.T) {
+	e := NewEngine()
+	e.Spawn("ticker", func(p *Proc) {
+		for i := 0; i < 100; i++ {
+			p.Sleep(time.Nanosecond)
+		}
+	})
+	end := e.Run()
+	st := e.Stats()
+	if end != 100 || st.Fired != 101 || st.Scheduled != 101 || st.Handoffs != 1 {
+		t.Fatalf("end %v, Fired %d, Scheduled %d, Handoffs %d; want 100ns, 101, 101, 1",
+			end, st.Fired, st.Scheduled, st.Handoffs)
+	}
+}
+
+// A Sleep may run inline only up to the RunUntil deadline: one landing
+// exactly on it wakes within the window, one past it leaves the process
+// blocked with its wake-up pending, and the next RunUntil or Run resumes
+// it at the original instant.
+func TestSleepRespectsRunUntilDeadline(t *testing.T) {
+	e := NewEngine()
+	var woke []Time
+	e.Spawn("p", func(p *Proc) {
+		for i := 0; i < 5; i++ {
+			p.Sleep(10 * time.Nanosecond)
+			woke = append(woke, p.Now())
+		}
+	})
+	check := func(now Time, want []Time, blocked int) {
+		t.Helper()
+		if len(woke) != len(want) || e.Blocked() != blocked {
+			t.Fatalf("at %v: woke %v, Blocked %d; want %v, %d", now, woke, e.Blocked(), want, blocked)
+		}
+		for i := range want {
+			if woke[i] != want[i] {
+				t.Fatalf("at %v: woke %v, want %v", now, woke, want)
+			}
+		}
+	}
+	if now := e.RunUntil(20); now != 20 {
+		t.Fatalf("RunUntil(20) = %v", now)
+	}
+	check(20, []Time{10, 20}, 1)
+	if e.Pending() != 1 {
+		t.Fatalf("pending = %d, want the wake-up at 30ns", e.Pending())
+	}
+	if now := e.RunUntil(25); now != 25 {
+		t.Fatalf("RunUntil(25) = %v", now)
+	}
+	check(25, []Time{10, 20}, 1)
+	if now := e.RunUntil(35); now != 35 {
+		t.Fatalf("RunUntil(35) = %v", now)
+	}
+	check(35, []Time{10, 20, 30}, 1)
+	if end := e.Run(); end != 50 {
+		t.Fatalf("Run = %v, want 50ns", end)
+	}
+	check(50, []Time{10, 20, 30, 40, 50}, 0)
+}
+
+// The deadlock report after inline Sleeps reads exactly as before.
+func TestDeadlockReportAfterInlineSleep(t *testing.T) {
+	e := NewEngine()
+	s := NewSignal(e).SetLabel("never")
+	e.Spawn("stuck", func(p *Proc) {
+		p.Sleep(5 * time.Nanosecond)
+		s.Wait(p)
+	})
+	defer func() {
+		const want = `sim: deadlock: 1 task(s) blocked with no pending events: proc "stuck" waiting on signal "never"`
+		if r := recover(); r != want {
+			t.Fatalf("panic = %v, want %q", r, want)
+		}
+		if e.Now() != 5 {
+			t.Fatalf("now = %v, want 5ns", e.Now())
+		}
+	}()
+	e.Run()
 }
 
 // Property: for any set of delays, events fire in sorted-by-time order and
@@ -508,17 +656,6 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 		}
 		e.Run()
 	}
-}
-
-func BenchmarkProcContextSwitch(b *testing.B) {
-	e := NewEngine()
-	e.Spawn("switcher", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(time.Nanosecond)
-		}
-	})
-	b.ResetTimer()
-	e.Run()
 }
 
 func TestAccessorsAndDaemons(t *testing.T) {

@@ -193,12 +193,23 @@ func (t *Tracer) Analyze() Metrics {
 	// LQT: gaps between consecutive launches not covered by other API work.
 	sort.Slice(launches, func(i, j int) bool { return launches[i].Start < launches[j].Start })
 	sort.Slice(busy, func(i, j int) bool { return busy[i].Start < busy[j].Start })
+	// reach[j] is the latest End among busy[:j+1]. Every event before the
+	// first index whose reach passes a gap's start ends before the gap, so
+	// the scan for that gap starts there.
+	reach := make([]sim.Time, len(busy))
+	for j, e := range busy {
+		reach[j] = e.End
+		if j > 0 {
+			reach[j] = max(reach[j-1], e.End)
+		}
+	}
 	for i := 1; i < len(launches); i++ {
 		gapStart, gapEnd := launches[i-1].End, launches[i].Start
 		if gapEnd <= gapStart {
 			continue
 		}
-		covered := overlapWith(busy, gapStart, gapEnd, launches[i].Seq, launches[i-1].Seq)
+		from := sort.Search(len(reach), func(j int) bool { return reach[j] > gapStart })
+		covered := overlapWith(busy[from:], gapStart, gapEnd, launches[i].Seq, launches[i-1].Seq)
 		gap := gapEnd.Sub(gapStart) - covered
 		if gap > 0 {
 			m.LQT += gap
@@ -220,16 +231,16 @@ func (t *Tracer) Analyze() Metrics {
 	return m
 }
 
-// overlapWith sums the portions of [start, end] covered by busy events,
-// skipping the two launches that bound the gap.
+// overlapWith sums the portions of [start, end] covered by busy events
+// (sorted by Start), skipping the two launches that bound the gap.
 func overlapWith(busy []Event, start, end sim.Time, skipA, skipB int) time.Duration {
 	var covered time.Duration
 	cursor := start
 	for _, e := range busy {
-		if e.Seq == skipA || e.Seq == skipB {
-			continue
+		if e.Start >= end {
+			break
 		}
-		if e.End <= cursor || e.Start >= end {
+		if e.Seq == skipA || e.Seq == skipB || e.End <= cursor {
 			continue
 		}
 		s := e.Start

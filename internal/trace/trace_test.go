@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -176,6 +177,79 @@ func TestPropertyAnalyzeNonNegative(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// bruteForceLQT is the reference LQT: for every gap between consecutive
+// launches, a full scan of all host-side API events.
+func bruteForceLQT(events []Event) time.Duration {
+	var launches, busy []Event
+	for _, e := range events {
+		switch e.Kind {
+		case KindKernel, KindFaultBatch:
+		case KindLaunch:
+			launches = append(launches, e)
+			busy = append(busy, e)
+		default:
+			busy = append(busy, e)
+		}
+	}
+	sort.Slice(launches, func(i, j int) bool { return launches[i].Start < launches[j].Start })
+	sort.Slice(busy, func(i, j int) bool { return busy[i].Start < busy[j].Start })
+	var lqt time.Duration
+	for i := 1; i < len(launches); i++ {
+		start, end := launches[i-1].End, launches[i].Start
+		if end <= start {
+			continue
+		}
+		var covered time.Duration
+		cursor := start
+		for _, e := range busy {
+			if e.Seq == launches[i].Seq || e.Seq == launches[i-1].Seq {
+				continue
+			}
+			if e.End <= cursor || e.Start >= end {
+				continue
+			}
+			s, f := max(e.Start, cursor), min(e.End, end)
+			if f > s {
+				covered += f.Sub(s)
+				cursor = f
+			}
+		}
+		if gap := end.Sub(start) - covered; gap > 0 {
+			lqt += gap
+		}
+	}
+	return lqt
+}
+
+// Property: the indexed LQT scan in Analyze matches the brute-force
+// reference on random traces with overlapping launches, overlapping API
+// calls, zero-length events and calls spanning many launch gaps.
+func TestPropertyLQTMatchesBruteForce(t *testing.T) {
+	kinds := []Kind{KindAlloc, KindFree, KindMemcpyH2D, KindMemcpyD2H, KindMemcpyD2D, KindSync, KindKernel, KindFaultBatch}
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tr := New()
+		horizon := int64(50 + rng.Intn(5000))
+		for i, n := 0, rng.Intn(120); i < n; i++ {
+			start := rng.Int63n(horizon)
+			dur := rng.Int63n(40)
+			if rng.Intn(15) == 0 {
+				dur = rng.Int63n(horizon) // long-spanning call
+			}
+			if rng.Intn(3) == 0 {
+				seq := tr.NextSeq()
+				tr.Record(ev(KindLaunch, start, start+dur, seq))
+				tr.Record(ev(KindKernel, start+dur, start+dur+rng.Int63n(100), seq))
+				continue
+			}
+			tr.Record(ev(kinds[rng.Intn(len(kinds))], start, start+dur, 0))
+		}
+		if got, want := tr.Analyze().LQT, bruteForceLQT(tr.Events()); got != want {
+			t.Fatalf("seed %d: LQT = %v, brute force %v", seed, got, want)
+		}
 	}
 }
 
