@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check lint lint-fix golden check bench report sweep-demo clean
+.PHONY: all build test race vet fmt-check lint lint-fix golden fuzz check bench report sweep-demo clean
 
 all: check
 
@@ -42,6 +42,22 @@ lint-fix:
 # empty mode for off, must simulate identically to the canonical name).
 golden:
 	$(GO) test ./internal/figures -run 'Golden|ModeSpelling' -count=1
+
+# Run each native fuzz target for FUZZTIME beyond its seed corpus (plain
+# `go test` replays only the seeds). -fuzz takes one target per package, so
+# each runs on its own.
+FUZZTIME ?= 5s
+FUZZ_TARGETS = \
+	./internal/swcrypto:FuzzXTSRoundTrip \
+	./internal/swcrypto:FuzzChaCha20Poly1305 \
+	./internal/swcrypto:FuzzGHASHConsistency \
+	./internal/hbm:FuzzSlotAllocator
+
+fuzz:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $${t#*:} ($(FUZZTIME))"; \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime $(FUZZTIME) "$${t%%:*}"; \
+	done
 
 check: fmt-check vet lint golden race
 

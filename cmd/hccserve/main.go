@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -30,40 +31,58 @@ import (
 )
 
 func main() {
-	modes := flag.String("modes", "off,tdx-h100,tee-io-bridge+pipelined",
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command; main only binds it to the process. It returns
+// the exit status (0 success, 1 a failed run or bad value, 2 a flag syntax
+// error) so tests can drive it in-process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hccserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	modes := fs.String("modes", "off,tdx-h100,tee-io-bridge+pipelined",
 		"comma list of protection modes: "+strings.Join(hccsim.Modes(), ", ")+" (optionally +pipelined)")
-	platformName := flag.String("platform", "",
+	platformName := fs.String("platform", "",
 		"hardware platform: "+strings.Join(hccsim.Platforms(), ", ")+" (default h100-tdx)")
-	rates := flag.String("rates", "1.2,1.4,1.6", "comma list of offered rates in requests/second")
-	backend := flag.String("backend", "vllm", "serving framework: vllm or hf")
-	quant := flag.String("quant", "bf16", "weight format: bf16 or awq")
-	requests := flag.Int("requests", 0, "offered request count (0 = default)")
-	seed := flag.Uint64("seed", 0, "workload RNG seed (0 = default)")
-	capacity := flag.Bool("capacity", true, "also search each mode's max sustainable rate at the SLO target")
-	format := flag.String("format", "table", "output format: table, csv or json")
-	out := flag.String("o", "-", "output file ('-' for stdout)")
-	traceOut := flag.String("trace", "", "write a Perfetto-loadable Chrome trace of the first mode×rate run to this file")
-	flag.Parse()
+	rates := fs.String("rates", "1.2,1.4,1.6", "comma list of offered rates in requests/second")
+	backend := fs.String("backend", "vllm", "serving framework: vllm or hf")
+	quant := fs.String("quant", "bf16", "weight format: bf16 or awq")
+	requests := fs.Int("requests", 0, "offered request count (0 = default)")
+	seed := fs.Uint64("seed", 0, "workload RNG seed (0 = default)")
+	capacity := fs.Bool("capacity", true, "also search each mode's max sustainable rate at the SLO target")
+	format := fs.String("format", "table", "output format: table, csv or json")
+	out := fs.String("o", "-", "output file ('-' for stdout)")
+	traceOut := fs.String("trace", "", "write a Perfetto-loadable Chrome trace of the first mode×rate run to this file")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
 
 	// Validate the platform and every mode up front — a bad name or an
 	// illegal mode×platform pair should fail before the first multi-second
 	// simulation, not after it.
 	if _, err := hccsim.Configure(hccsim.Spec{Platform: *platformName}); err != nil {
-		fatal(fmt.Errorf("hccserve: invalid -platform: %v", err))
+		return fail(fmt.Errorf("hccserve: invalid -platform: %v", err))
 	}
 	modeNames := splitList(*modes)
 	if len(modeNames) == 0 {
-		fatal(fmt.Errorf("hccserve: -modes is empty (valid: %s)", strings.Join(hccsim.Modes(), ", ")))
+		return fail(fmt.Errorf("hccserve: -modes is empty (valid: %s)", strings.Join(hccsim.Modes(), ", ")))
 	}
 	for _, m := range modeNames {
 		if _, err := hccsim.Configure(hccsim.Spec{Platform: *platformName, Mode: m}); err != nil {
-			fatal(fmt.Errorf("hccserve: invalid -modes entry %q: %v (valid: %s, optionally +pipelined)",
+			return fail(fmt.Errorf("hccserve: invalid -modes entry %q: %v (valid: %s, optionally +pipelined)",
 				m, err, strings.Join(hccsim.Modes(), ", ")))
 		}
 	}
 	rateVals, err := parseRates(*rates)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	cfg := func(mode string, rate float64) hccsim.ServeConfig {
@@ -87,13 +106,13 @@ func main() {
 			}
 			rep, err := hccsim.ServeTraffic(c)
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			if c.Observer != nil {
 				if err := writeTrace(*traceOut, c.Observer); err != nil {
-					fatal(err)
+					return fail(err)
 				}
-				fmt.Fprintf(os.Stderr, "chrome trace of %s @ %gqps written to %s (load it at https://ui.perfetto.dev)\n",
+				fmt.Fprintf(stderr, "chrome trace of %s @ %gqps written to %s (load it at https://ui.perfetto.dev)\n",
 					m, r, *traceOut)
 			}
 			reports = append(reports, rep)
@@ -104,24 +123,25 @@ func main() {
 		for _, m := range modeNames {
 			c, err := hccsim.ServeMaxQPS(cfg(m, rateVals[0]))
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			caps = append(caps, c)
 		}
 	}
 
-	w := os.Stdout
+	w := stdout
 	if *out != "-" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer f.Close()
 		w = f
 	}
 	if err := emit(w, *format, modeNames, reports, caps); err != nil {
-		fatal(err)
+		return fail(err)
 	}
+	return 0
 }
 
 // loadTable renders the latency-vs-load grid.
@@ -163,7 +183,7 @@ func capacityTable(modes []string, caps []hccsim.ServeCapacity) tab.Table {
 	return t
 }
 
-func emit(w *os.File, format string, modes []string, reports []hccsim.ServeReport, caps []hccsim.ServeCapacity) error {
+func emit(w io.Writer, format string, modes []string, reports []hccsim.ServeReport, caps []hccsim.ServeCapacity) error {
 	lt := loadTable(reports)
 	switch format {
 	case "table":
@@ -236,8 +256,3 @@ func writeTrace(path string, o *hccsim.Observer) error {
 
 func ms(d time.Duration) float64   { return d.Seconds() * 1e3 }
 func secs(d time.Duration) float64 { return d.Seconds() }
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
-}

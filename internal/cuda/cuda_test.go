@@ -587,3 +587,58 @@ func TestWaitEventUnrecordedPanics(t *testing.T) {
 		expectPanic(t, "unrecorded wait", func() { s.WaitEvent(e) })
 	})
 }
+
+// TestSetTracerNilKeepsTiming runs one program over every recording site
+// (alloc, sync and async copies, kernel and graph launches, UVM migrate,
+// prefetch and write-back) with and without a tracer: dropping the trace
+// must leave the simulated clock and the event count untouched.
+func TestSetTracerNilKeepsTiming(t *testing.T) {
+	body := func(c *Context) {
+		h := c.MallocHost("h", 8<<20)
+		d := c.Malloc("d", 8<<20)
+		c.Memcpy(d, h, 8<<20)
+		c.MemcpyAsync(h, d, 4<<20, c.StreamCreate())
+		spec := gpu.KernelSpec{Name: "k", Fixed: 20 * time.Microsecond}
+		c.Launch(spec, nil)
+		c.GraphCreate([]gpu.KernelSpec{spec, spec}).Launch(nil)
+		m := c.MallocManaged("m", 8<<20)
+		c.Launch(gpu.KernelSpec{Name: "uvmk", Fixed: 10 * time.Microsecond,
+			Managed: []gpu.ManagedAccess{{Range: m.Managed(), Bytes: 4 << 20}}}, nil)
+		c.Sync()
+		c.Prefetch(m, 8<<20)
+		c.HostTouch(m, 8<<20)
+		c.Free(m)
+		c.Free(d)
+		c.FreeHost(h)
+	}
+	exec := func(cc, traced bool) (sim.Time, uint64, *Runtime) {
+		eng := sim.NewEngine()
+		rt := New(eng, DefaultConfig(cc))
+		if !traced {
+			rt.SetTracer(nil)
+		}
+		eng.Spawn("host", func(p *sim.Proc) { body(rt.Bind(p)) })
+		eng.Run()
+		return eng.Now(), eng.Stats().Fired, rt
+	}
+	for _, cc := range []bool{false, true} {
+		end, fired, traced := exec(cc, true)
+		endNil, firedNil, untraced := exec(cc, false)
+		if end != endNil || fired != firedNil {
+			t.Errorf("cc=%v: traced run ends at %v after %d events, untraced at %v after %d",
+				cc, end, fired, endNil, firedNil)
+		}
+		seen := map[string]bool{}
+		for _, e := range traced.Tracer().Events() {
+			seen[e.Name] = true
+		}
+		for _, site := range []string{"k", "memcpyAsync", "uvm-migrate", "uvm-prefetch", "uvm-writeback"} {
+			if !seen[site] {
+				t.Errorf("cc=%v: traced run recorded no %s event: %v", cc, site, seen)
+			}
+		}
+		if untraced.Tracer() != nil {
+			t.Errorf("cc=%v: Tracer() after SetTracer(nil) is non-nil", cc)
+		}
+	}
+}

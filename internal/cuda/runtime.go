@@ -92,6 +92,17 @@ func (rt *Runtime) SetObserver(o *obs.Observer) {
 	rt.dev.UVM().SetObserver(o)
 }
 
+// SetTracer replaces the Nsight-style event recorder of the runtime, its
+// device and its UVM manager; devices added later share it. A run that
+// never reads Tracer or Metrics (the serving loop) passes nil to skip
+// recording; New attaches a fresh tracer, which every figure and workload
+// analysis reads.
+func (rt *Runtime) SetTracer(t *trace.Tracer) {
+	rt.tracer = t
+	rt.dev.SetTracer(t)
+	rt.dev.UVM().SetTracer(t)
+}
+
 // Observer returns the attached observability layer, or nil.
 func (rt *Runtime) Observer() *obs.Observer { return rt.obs }
 
@@ -138,7 +149,7 @@ func (rt *Runtime) PublishMetrics() {
 // Engine returns the simulation engine.
 func (rt *Runtime) Engine() *sim.Engine { return rt.eng }
 
-// Tracer returns the event recorder.
+// Tracer returns the event recorder, nil after SetTracer(nil).
 func (rt *Runtime) Tracer() *trace.Tracer { return rt.tracer }
 
 // Platform returns the CPU-TEE substrate.

@@ -137,6 +137,9 @@ func New(eng *sim.Engine, pl *tdx.Platform, link *pcie.Link, mem *hbm.Allocator,
 	}
 }
 
+// SetTracer replaces the event recorder; nil records nothing.
+func (d *Device) SetTracer(t *trace.Tracer) { d.tracer = t }
+
 // SetObserver attaches the observability layer; channels created before
 // and after the call all get a per-channel timeline.
 func (d *Device) SetObserver(o *obs.Observer) {
@@ -368,12 +371,10 @@ func kernelDone(x any) {
 	ch.sp.End()
 	d.compute.Release()
 	d.kernelsRun++
-	if d.tracer != nil {
-		d.tracer.Record(trace.Event{
-			Kind: trace.KindKernel, Name: c.spec.Name, Stream: ch.id,
-			Start: ch.start, End: ch.a.Now(), Seq: c.seq,
-		})
-	}
+	d.tracer.Record(trace.Event{
+		Kind: trace.KindKernel, Name: c.spec.Name, Stream: ch.id,
+		Start: ch.start, End: ch.a.Now(), Seq: c.seq,
+	})
 	c.done.Fire()
 	chanNext(ch)
 }
@@ -395,17 +396,15 @@ func copyLanded(x any) {
 	c := ch.cc
 	ch.cc = copyCmd{}
 	ch.sp.End()
-	if d.tracer != nil {
-		kind := c.kind
-		if ch.managed {
-			// Nsight labels CC "pinned" transfers as managed D2D.
-			kind = trace.KindMemcpyD2D
-		}
-		d.tracer.Record(trace.Event{
-			Kind: kind, Name: "memcpyAsync", Stream: ch.id,
-			Start: ch.start, End: ch.a.Now(), Bytes: c.bytes, Managed: ch.managed,
-		})
+	kind := c.kind
+	if ch.managed {
+		// Nsight labels CC "pinned" transfers as managed D2D.
+		kind = trace.KindMemcpyD2D
 	}
+	d.tracer.Record(trace.Event{
+		Kind: kind, Name: "memcpyAsync", Stream: ch.id,
+		Start: ch.start, End: ch.a.Now(), Bytes: c.bytes, Managed: ch.managed,
+	})
 	c.done.Fire()
 	chanNext(ch)
 }

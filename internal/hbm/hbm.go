@@ -1,6 +1,7 @@
 // Package hbm implements the GPU device-memory substrate: a first-fit
-// allocator with free-list coalescing over the HBM3 address space, plus the
-// bandwidth constant used by the compute engine's roofline model.
+// allocator with free-list coalescing over the HBM3 address space, its
+// bitmap specialization for uniform granules (the serving KV cache), plus
+// the bandwidth constant used by the compute engine's roofline model.
 //
 // The paper's threat model leaves HBM unencrypted (3D-stacked memory behind
 // a silicon interposer is assumed physically immune), so unlike host DRAM
@@ -9,6 +10,7 @@ package hbm
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -182,15 +184,19 @@ func (a *Allocator) CheckInvariants() error {
 
 // SlotAllocator is the uniform-granule specialization of Allocator: every
 // allocation is exactly one granule. First-fit over same-size blocks always
-// takes the lowest free granule, so a min-heap of free slot indices returns
-// byte-identical offsets in O(log n) — where the general free list pays an
-// O(n) sorted insert per release, which dominated the serving scheduler's
-// KV churn. Accounting (used, peak, free) matches Allocator exactly.
+// takes the lowest free granule, so a two-level bitmap returns
+// byte-identical offsets: words holds one set bit per free slot and
+// summary one set bit per word that still has one, so TryAlloc scans at
+// most ⌈slots/4096⌉ summary words and Release sets two bits — where the
+// general free list pays an O(n) sorted insert per release, which
+// dominated the serving scheduler's KV churn. Accounting (used, peak,
+// free) matches Allocator exactly.
 type SlotAllocator struct {
 	granule int64
-	free    []int32 // min-heap of free slot indices
-	live    []bool
-	used    int64
+	slots   int
+	words   []uint64 // bit s%64 of words[s/64] set: slot s is free
+	summary []uint64 // bit w%64 of summary[w/64] set: words[w] != 0
+	free    int
 	peak    int64
 }
 
@@ -200,16 +206,25 @@ func NewSlotAllocator(granule int64, slots int) *SlotAllocator {
 	if granule <= 0 || slots <= 0 {
 		panic("hbm: invalid slot allocator params")
 	}
-	a := &SlotAllocator{granule: granule, free: make([]int32, slots),
-		live: make([]bool, slots)}
-	for i := range a.free {
-		a.free[i] = int32(i) // ascending order is a valid min-heap
+	words := setBits(slots)
+	return &SlotAllocator{granule: granule, slots: slots, words: words,
+		summary: setBits(len(words)), free: slots}
+}
+
+// setBits returns the fewest words holding n set low-order bits.
+func setBits(n int) []uint64 {
+	w := make([]uint64, (n+63)/64)
+	for i := range w {
+		w[i] = ^uint64(0)
 	}
-	return a
+	if r := n % 64; r != 0 {
+		w[len(w)-1] = 1<<r - 1
+	}
+	return w
 }
 
 // Used returns bytes currently allocated.
-func (a *SlotAllocator) Used() int64 { return a.used }
+func (a *SlotAllocator) Used() int64 { return int64(a.slots-a.free) * a.granule }
 
 // Peak returns the high-water mark of allocated bytes.
 func (a *SlotAllocator) Peak() int64 { return a.peak }
@@ -217,69 +232,42 @@ func (a *SlotAllocator) Peak() int64 { return a.peak }
 // Free returns bytes currently free.
 //
 //hcclint:unit Bytes
-func (a *SlotAllocator) Free() int64 { return int64(len(a.free)) * a.granule }
+func (a *SlotAllocator) Free() int64 { return int64(a.free) * a.granule }
 
 // FreeSlots returns the number of free granules.
-func (a *SlotAllocator) FreeSlots() int { return len(a.free) }
+func (a *SlotAllocator) FreeSlots() int { return a.free }
 
 // TryAlloc reserves the lowest free granule; ok is false when the pool is
 // exhausted.
 func (a *SlotAllocator) TryAlloc() (off int64, ok bool) {
-	if len(a.free) == 0 {
-		return 0, false
+	for i, sum := range a.summary {
+		if sum == 0 {
+			continue
+		}
+		w := i*64 + bits.TrailingZeros64(sum)
+		b := bits.TrailingZeros64(a.words[w])
+		a.words[w] &^= 1 << b
+		if a.words[w] == 0 {
+			a.summary[i] &^= 1 << (w % 64)
+		}
+		a.free--
+		if used := a.Used(); used > a.peak {
+			a.peak = used
+		}
+		return int64(w*64+b) * a.granule, true
 	}
-	slot := a.free[0]
-	last := len(a.free) - 1
-	a.free[0] = a.free[last]
-	a.free = a.free[:last]
-	a.siftDown(0)
-	a.live[slot] = true
-	a.used += a.granule
-	if a.used > a.peak {
-		a.peak = a.used
-	}
-	return int64(slot) * a.granule, true
+	return 0, false
 }
 
 // Release frees the granule at off. Like Allocator.Release it returns an
 // error on a double free or an offset that was never allocated.
 func (a *SlotAllocator) Release(off int64) error {
 	slot := off / a.granule
-	if off%a.granule != 0 || slot < 0 || slot >= int64(len(a.live)) || !a.live[slot] {
+	if off%a.granule != 0 || slot < 0 || slot >= int64(a.slots) || a.words[slot/64]&(1<<(slot%64)) != 0 {
 		return fmt.Errorf("hbm: release of unknown offset %#x", off)
 	}
-	a.live[slot] = false
-	a.used -= a.granule
-	a.free = append(a.free, int32(slot))
-	a.siftUp(len(a.free) - 1)
+	a.words[slot/64] |= 1 << (slot % 64)
+	a.summary[slot/4096] |= 1 << (slot / 64 % 64)
+	a.free++
 	return nil
-}
-
-func (a *SlotAllocator) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if a.free[parent] <= a.free[i] {
-			return
-		}
-		a.free[parent], a.free[i] = a.free[i], a.free[parent]
-		i = parent
-	}
-}
-
-func (a *SlotAllocator) siftDown(i int) {
-	n := len(a.free)
-	for {
-		min, l, r := i, 2*i+1, 2*i+2
-		if l < n && a.free[l] < a.free[min] {
-			min = l
-		}
-		if r < n && a.free[r] < a.free[min] {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		a.free[i], a.free[min] = a.free[min], a.free[i]
-		i = min
-	}
 }

@@ -7,9 +7,9 @@ import "hccsim/internal/hbm"
 // grow one token per decode iteration and released on completion or
 // preemption. Because every block is the same size the heap never
 // fragments, so admission feasibility reduces to a free-block count — and
-// the uniform-granule allocator hands out exactly the offsets first-fit
-// would, without the general free list's O(n) release cost, which
-// dominated steady-state decode profiles.
+// the allocator's free-slot bitmap hands out exactly the offsets first-fit
+// would (always the lowest free block) in a few word scans, without the
+// general free list's O(n) release cost.
 type kvPool struct {
 	alloc       *hbm.SlotAllocator
 	blockBytes  int64
@@ -65,6 +65,11 @@ func (k *kvPool) admit(s *request, tokens int, force bool) bool {
 	}
 	if need+headroom > k.freeBlocks() {
 		return false
+	}
+	if s.kvBlocks == nil {
+		// Sized once for the sequence's full length, so neither this admit
+		// nor any grow reallocates; release keeps the capacity.
+		s.kvBlocks = make([]int64, 0, k.blocksFor(s.promptTokens+s.outputTokens))
 	}
 	for i := 0; i < need; i++ {
 		off, ok := k.alloc.TryAlloc()

@@ -71,6 +71,7 @@ func schedule(cfg Config, sys cuda.Config, quant nn.Quant, model *costModel, wl 
 
 	eng := sim.NewEngine()
 	rt := cuda.New(eng, sys)
+	rt.SetTracer(nil) // nothing here reads the Nsight trace
 	if cfg.Observer != nil {
 		// The run owns its engine, so the observer is bound here rather
 		// than by the caller; substrate tracks register before the

@@ -58,7 +58,9 @@ type Event struct {
 func (e Event) Duration() time.Duration { return e.End.Sub(e.Start) }
 
 // Tracer records events. It is not safe for concurrent use; the simulator
-// is single-threaded by construction.
+// is single-threaded by construction. A nil *Tracer records nothing:
+// Record and NextSeq return 0, so a run that never reads its trace (the
+// serving loop) skips the recording cost without guards at each site.
 type Tracer struct {
 	events []Event
 	seq    int
@@ -68,15 +70,19 @@ type Tracer struct {
 func New() *Tracer { return &Tracer{} }
 
 // Record appends an event and returns its sequence number. An event that
-// ends before it starts panics: it indicates a broken model, and silently
-// storing it would corrupt every downstream decomposition.
+// ends before it starts panics, even on a nil tracer: it indicates a
+// broken model, and silently storing it would corrupt every downstream
+// decomposition.
 func (t *Tracer) Record(e Event) int {
+	if e.End < e.Start {
+		panic(fmt.Sprintf("trace: event %s ends before it starts (%v < %v)", e.Kind, e.End, e.Start))
+	}
+	if t == nil {
+		return 0
+	}
 	t.seq++
 	if e.Seq == 0 {
 		e.Seq = t.seq
-	}
-	if e.End < e.Start {
-		panic(fmt.Sprintf("trace: event %s ends before it starts (%v < %v)", e.Kind, e.End, e.Start))
 	}
 	t.events = append(t.events, e)
 	return e.Seq
@@ -85,6 +91,9 @@ func (t *Tracer) Record(e Event) int {
 // NextSeq reserves a correlation id without recording, so a launch and its
 // kernel can share one.
 func (t *Tracer) NextSeq() int {
+	if t == nil {
+		return 0
+	}
 	t.seq++
 	return t.seq
 }

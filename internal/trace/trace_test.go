@@ -38,6 +38,32 @@ func TestRecordRejectsInvertedEvent(t *testing.T) {
 	tr.Record(Event{Kind: KindKernel, Start: 10, End: 5})
 }
 
+func TestNilTracerRecordsNothing(t *testing.T) {
+	var tr *Tracer
+	if seq := tr.NextSeq(); seq != 0 {
+		t.Fatalf("nil NextSeq = %d, want 0", seq)
+	}
+	if seq := tr.Record(Event{Kind: KindKernel, Start: 1, End: 2, Seq: 7}); seq != 0 {
+		t.Fatalf("nil Record = %d, want 0", seq)
+	}
+	// Nothing is stored: a nil Record appends nowhere and allocates nothing.
+	if n := testing.AllocsPerRun(100, func() {
+		tr.Record(Event{Kind: KindMemcpyH2D, Name: "memcpy", Start: 1, End: 2, Bytes: 4096})
+	}); n != 0 {
+		t.Fatalf("nil Record allocates %.0f times per call, want 0", n)
+	}
+}
+
+func TestNilTracerStillRejectsInvertedEvent(t *testing.T) {
+	var tr *Tracer
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for end < start on a nil tracer")
+		}
+	}()
+	tr.Record(Event{Kind: KindKernel, Start: 10, End: 5})
+}
+
 func TestAnalyzeKLOKETKQT(t *testing.T) {
 	tr := New()
 	// Launch 1: [0,10], kernel 1: [15,45] -> KQT 5, KET 30.

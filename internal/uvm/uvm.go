@@ -62,7 +62,7 @@ type Manager struct {
 	mode   ccmode.Mode
 	port   tdx.Port
 	params Params
-	tracer *trace.Tracer // optional; fault batches are recorded when set
+	tracer *trace.Tracer // fault batches are recorded into it; nil records nothing
 	trk    obs.Track     // paging timeline; the zero Track when tracing is off
 
 	ranges        []*Range
@@ -88,7 +88,8 @@ func NewManager(eng *sim.Engine, pl *tdx.Platform, link *pcie.Link, params Param
 		mode: pl.Mode(), port: tdx.NewPort(pl, link), params: params}
 }
 
-// SetTracer attaches a tracer; subsequent fault batches are recorded.
+// SetTracer attaches a tracer; subsequent fault batches are recorded into
+// it (nil records nothing).
 func (m *Manager) SetTracer(t *trace.Tracer) { m.tracer = t }
 
 // SetObserver attaches the observability layer; fault batches, prefetches
@@ -353,12 +354,10 @@ func prefetchEvicted(x any) {
 	f := x.(*prefetchFrame)
 	m := f.m
 	f.sp.End()
-	if m.tracer != nil {
-		m.tracer.Record(trace.Event{
-			Kind: trace.KindFaultBatch, Name: "uvm-prefetch",
-			Start: f.startT, End: m.eng.Now(), Bytes: f.n, Managed: true,
-		})
-	}
+	m.tracer.Record(trace.Event{
+		Kind: trace.KindFaultBatch, Name: "uvm-prefetch",
+		Start: f.startT, End: m.eng.Now(), Bytes: f.n, Managed: true,
+	})
 	f.start = f.end
 	prefetchNext(f)
 }
@@ -501,12 +500,10 @@ func migMoved(x any) {
 		f.sp.End()
 		m.stats.FaultBatches++
 		m.stats.BytesToHost += f.bytes
-		if m.tracer != nil {
-			m.tracer.Record(trace.Event{
-				Kind: trace.KindFaultBatch, Name: "uvm-writeback",
-				Start: f.startT, End: m.eng.Now(), Bytes: f.bytes, Managed: true,
-			})
-		}
+		m.tracer.Record(trace.Event{
+			Kind: trace.KindFaultBatch, Name: "uvm-writeback",
+			Start: f.startT, End: m.eng.Now(), Bytes: f.bytes, Managed: true,
+		})
 		step, state := f.step, f.state
 		m.migFrames.Put(f)
 		step(state)
@@ -529,12 +526,10 @@ func migEvicted(x any) {
 	f := x.(*migrateFrame)
 	m := f.m
 	f.sp.End()
-	if m.tracer != nil {
-		m.tracer.Record(trace.Event{
-			Kind: trace.KindFaultBatch, Name: "uvm-migrate",
-			Start: f.startT, End: m.eng.Now(), Bytes: f.bytes, Managed: true,
-		})
-	}
+	m.tracer.Record(trace.Event{
+		Kind: trace.KindFaultBatch, Name: "uvm-migrate",
+		Start: f.startT, End: m.eng.Now(), Bytes: f.bytes, Managed: true,
+	})
 	step, state := f.step, f.state
 	m.migFrames.Put(f)
 	step(state)
