@@ -51,7 +51,9 @@ FUZZ_TARGETS = \
 	./internal/swcrypto:FuzzXTSRoundTrip \
 	./internal/swcrypto:FuzzChaCha20Poly1305 \
 	./internal/swcrypto:FuzzGHASHConsistency \
-	./internal/hbm:FuzzSlotAllocator
+	./internal/hbm:FuzzSlotAllocator \
+	./internal/sim/eventq:FuzzQueue \
+	./internal/ccmode:FuzzByName
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \

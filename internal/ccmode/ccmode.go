@@ -78,6 +78,9 @@ type Port interface {
 	// tracing is off; modes open copy-path spans through it, paying one
 	// nil check when disabled.
 	Observer() *obs.Observer
+	// Frames returns the pool the modes' copy and page-move chains draw
+	// their frames from; one per engine, shared by every port on it.
+	Frames() *Frames
 
 	// The A-forms are the continuation-passing counterparts used by actor
 	// chains (run-to-completion tasks and Proc Await bridges): same costs
@@ -150,12 +153,18 @@ func chunks(bytes, chunk int64, fn func(n int64)) {
 	}
 }
 
-// chunkFrame drives one continuation-passing copy or page-move chain. One
-// frame is allocated per Transfer/Migrate call — copies are orders of
-// magnitude rarer than engine events, so these are not pooled. The `one`
-// hook runs a single chunk of f.n bytes and must end in chunkNext; a
-// single-shot chain (Migrate) starts with off == bytes so chunkNext
-// completes after the one chunk already in flight.
+// Frames recycles the frames of copy and page-move chains, so a steady
+// stream of transfers allocates nothing. Like every sim.FramePool it is
+// owned per engine (by the tdx platform), never by a global, since engines
+// run concurrently in sweep worker pools. The zero value is ready to use.
+type Frames struct{ pool sim.FramePool[chunkFrame] }
+
+// chunkFrame drives one continuation-passing copy or page-move chain. Each
+// Transfer/Migrate call takes one from the port's Frames and chunkNext
+// returns it when the chain completes. The `one` hook runs a single chunk
+// of f.n bytes and must end in chunkNext; a single-shot chain (Migrate)
+// starts with off == bytes so chunkNext completes after the one chunk
+// already in flight.
 type chunkFrame struct {
 	port   Port
 	a      *sim.Actor
@@ -171,12 +180,15 @@ type chunkFrame struct {
 	state  any
 }
 
-// chunkNext starts the next chunk, or completes the chain.
+// chunkNext starts the next chunk, or completes the chain, recycling the
+// frame before the completion step runs.
 func chunkNext(x any) {
 	f := x.(*chunkFrame)
 	if f.off >= f.bytes {
-		f.sp.End()
-		f.step(f.state)
+		sp, step, state := f.sp, f.step, f.state
+		f.port.Frames().pool.Put(f)
+		sp.End()
+		step(state)
 		return
 	}
 	n := f.bytes - f.off

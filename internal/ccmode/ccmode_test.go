@@ -90,9 +90,10 @@ func TestPredicates(t *testing.T) {
 
 // opPort records the operation sequence a mode drives through a Port.
 type opPort struct {
-	eng *sim.Engine
-	ops []string
-	rec func(string)
+	eng    *sim.Engine
+	ops    []string
+	rec    func(string)
+	frames Frames
 }
 
 func newOpPort(eng *sim.Engine) *opPort {
@@ -103,6 +104,7 @@ func newOpPort(eng *sim.Engine) *opPort {
 
 func (pt *opPort) Engine() *sim.Engine                   { return pt.eng }
 func (pt *opPort) Observer() *obs.Observer               { return nil }
+func (pt *opPort) Frames() *Frames                       { return &pt.frames }
 func (pt *opPort) Encrypt(p *sim.Proc, n int64)          { pt.rec("enc"); p.Sleep(time.Duration(n)) }
 func (pt *opPort) Decrypt(p *sim.Proc, n int64)          { pt.rec("dec"); p.Sleep(time.Duration(n)) }
 func (pt *opPort) BounceAcquire(p *sim.Proc, n int64)    { pt.rec("acq") }
@@ -228,4 +230,132 @@ func TestNames(t *testing.T) {
 			t.Fatalf("Names() = %v, want %v", got, want)
 		}
 	}
+}
+
+// baseModes are the four undecorated modes, in registry order.
+var baseModes = []Mode{Off{}, TDXH100{}, TEEIODirect{}, TEEIOBridge{}}
+
+// quietPort is an opPort that records nothing and so builds no operation
+// strings: the only allocations left are the chain's own.
+type quietPort struct{ *opPort }
+
+func (quietPort) DMAA(a *sim.Actor, d Direction, n int64, step func(any), state any) {
+	step(state)
+}
+func (quietPort) BridgeDMAA(a *sim.Actor, d Direction, n int64, step func(any), state any) {
+	step(state)
+}
+
+// chainRig drives TransferA/MigrateA chains on a quietPort under a daemon
+// actor, one engine Run per batch of chains.
+type chainRig struct {
+	eng         *sim.Engine
+	pt          quietPort
+	a           *sim.Actor
+	calls, done int
+}
+
+func newChainRig() *chainRig {
+	eng := sim.NewEngine()
+	r := &chainRig{eng: eng, pt: quietPort{&opPort{eng: eng, rec: func(string) {}}}}
+	r.a = eng.SpawnActorDaemon("chains", func(*sim.Actor) {})
+	eng.Run()
+	return r
+}
+
+func chainDone(x any) { x.(*chainRig).done++ }
+
+// TestChainsDoNotAllocate checks that, once the pool is warm, a copy or
+// page-move chain of every base mode allocates nothing, whether it
+// completes inline or across events.
+func TestChainsDoNotAllocate(t *testing.T) {
+	for _, m := range baseModes {
+		r := newChainRig()
+		for _, dir := range []Direction{H2D, D2H} {
+			for _, pinned := range []bool{true, false} {
+				xfer := func() {
+					r.calls++
+					m.TransferA(r.pt, r.a, dir, 4, 1, pinned, chainDone, r)
+					r.eng.Run()
+				}
+				xfer() // warm the pool and the event arena
+				if n := testing.AllocsPerRun(50, xfer); n != 0 {
+					t.Errorf("%s %v pinned=%v: TransferA allocates %.1f times per op, want 0", m.Name(), dir, pinned, n)
+				}
+			}
+			migrate := func() {
+				r.calls++
+				m.MigrateA(r.pt, r.a, dir, 4, chainDone, r)
+				r.eng.Run()
+			}
+			migrate()
+			if n := testing.AllocsPerRun(50, migrate); n != 0 {
+				t.Errorf("%s %v: MigrateA allocates %.1f times per op, want 0", m.Name(), dir, n)
+			}
+		}
+		if r.done != r.calls {
+			t.Errorf("%s: %d of %d chains completed", m.Name(), r.done, r.calls)
+		}
+	}
+}
+
+// TestChainFramesBoundedByPeakInFlight checks the pool never holds more
+// frames than were ever in flight at once: three overlapping transfers
+// leave three, and any number of sequential ones after them add none.
+func TestChainFramesBoundedByPeakInFlight(t *testing.T) {
+	for _, m := range baseModes {
+		r := newChainRig()
+		m.TransferA(r.pt, r.a, H2D, 4, 1, false, chainDone, r)
+		r.eng.Run()
+		if n := r.pt.frames.pool.Len(); n != 1 {
+			t.Fatalf("%s: pool holds %d frames after one transfer, want 1", m.Name(), n)
+		}
+		for i := 0; i < 3; i++ {
+			m.TransferA(r.pt, r.a, H2D, 4, 1, false, chainDone, r)
+		}
+		r.eng.Run()
+		peak := r.pt.frames.pool.Len()
+		if peak < 1 || peak > 3 {
+			t.Fatalf("%s: pool holds %d frames after 3 overlapping transfers, want 1..3", m.Name(), peak)
+		}
+		for i := 0; i < 20; i++ {
+			m.TransferA(r.pt, r.a, D2H, 4, 1, true, chainDone, r)
+			r.eng.Run()
+			m.MigrateA(r.pt, r.a, H2D, 4, chainDone, r)
+			r.eng.Run()
+		}
+		if n := r.pt.frames.pool.Len(); n != peak {
+			t.Errorf("%s: pool grew from %d to %d frames over sequential transfers", m.Name(), peak, n)
+		}
+	}
+}
+
+// FuzzByName checks the resolver against its own output: any input that
+// resolves names a mode whose canonical Name resolves to the same mode, and
+// every canonical name, plain and with the pipelined suffix, round-trips.
+func FuzzByName(f *testing.F) {
+	for _, n := range Names() {
+		f.Add(n)
+		f.Add(n + pipelinedSuffix)
+	}
+	for _, a := range aliases {
+		f.Add(" " + strings.ToUpper(a.alias) + pipelinedSuffix)
+	}
+	f.Add("cc")
+	f.Add("+pipelined")
+	f.Fuzz(func(t *testing.T, name string) {
+		if m, err := ByName(name); err == nil {
+			again, err := ByName(m.Name())
+			if err != nil || again != m {
+				t.Fatalf("ByName(%q) = %s, but ByName(%q) = %v, %v", name, m.Name(), m.Name(), again, err)
+			}
+		}
+		for _, n := range Names() {
+			for _, full := range []string{n, n + pipelinedSuffix} {
+				if m, err := ByName(full); err != nil || m.Name() != full {
+					t.Fatalf("canonical %q does not round-trip: %v, %v", full, m, err)
+				}
+			}
+		}
+	})
 }

@@ -4,9 +4,11 @@ package sim
 // the engine's two process models (DESIGN.md §12):
 //
 //   - A Proc is a goroutine-based coroutine: straight-line Go code that
-//     blocks in Sleep/Acquire/Get/Wait. Every resume costs two channel
-//     operations and two goroutine context switches (Engine.handoff /
-//     Proc.yield).
+//     blocks in Sleep/Acquire/Get/Wait. A yielding Proc drives the dispatch
+//     loop on its own goroutine (Proc.yield), so resuming itself is free,
+//     but resuming another Proc costs a channel send and a goroutine
+//     context switch (Engine.pass), and the loop's steps run on whichever
+//     goroutine happens to hold it.
 //   - An Actor is a callback state machine: blocking points are spelled as
 //     continuations — Sleep(d, step, state), Resource.AcquireA, Queue.GetA,
 //     Signal.WaitA — and every step fires *inline* in the engine's dispatch
@@ -183,6 +185,9 @@ func (fp *FramePool[T]) Get() *T {
 	}
 	return new(T)
 }
+
+// Len returns the number of recycled frames waiting for reuse.
+func (fp *FramePool[T]) Len() int { return len(fp.free) }
 
 // Put recycles a frame the chain has finished with.
 func (fp *FramePool[T]) Put(f *T) {

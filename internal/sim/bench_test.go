@@ -55,8 +55,10 @@ func BenchmarkProcSleepUncontended(b *testing.B) {
 }
 
 // BenchmarkProcContextSwitch measures a Sleep that must yield: an event is
-// kept pending at each wake-up instant, so every Sleep round-trips through
-// the engine goroutine (plus one schedule/fire of the pending event).
+// kept pending at each wake-up instant, so every Sleep enters the dispatch
+// loop, fires the pending event and pops its own resume. The yielding
+// process drives the loop itself, so no goroutine switch happens after the
+// start; BenchmarkProcCrossSwitch measures a real one.
 func BenchmarkProcContextSwitch(b *testing.B) {
 	e := NewEngine()
 	nop := func() {}
@@ -69,8 +71,31 @@ func BenchmarkProcContextSwitch(b *testing.B) {
 		}
 	})
 	e.Run()
-	if h := e.Stats().Handoffs; h != uint64(b.N)+1 {
-		b.Fatalf("Handoffs = %d, want one per Sleep plus the start", h)
+	if h := e.Stats().Handoffs; h != 1 {
+		b.Fatalf("Handoffs = %d, want only the start", h)
+	}
+}
+
+// BenchmarkProcCrossSwitch measures a real goroutine switch: two processes
+// sleep in lockstep, so each Sleep pops the other's resume and passes it
+// the loop.
+func BenchmarkProcCrossSwitch(b *testing.B) {
+	e := NewEngine()
+	n := b.N
+	for _, name := range []string{"ping", "pong"} {
+		e.Spawn(name, func(p *Proc) {
+			for i := 0; i < n; i++ {
+				p.Sleep(time.Nanosecond)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+	b.StopTimer()
+	// Two starts, then one switch per Sleep.
+	if h := e.Stats().Handoffs; h != 2*uint64(n)+2 {
+		b.Fatalf("Handoffs = %d, want %d", h, 2*n+2)
 	}
 }
 

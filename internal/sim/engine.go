@@ -1,27 +1,31 @@
 // Package sim implements a deterministic discrete-event simulation engine.
 //
 // The engine drives a set of cooperating tasks over a virtual clock.
-// Exactly one goroutine — either the engine loop or a single process — runs
-// at any moment; control is handed back and forth explicitly, so simulations
-// are fully deterministic and task code needs no locking.
+// Exactly one goroutine — the Run caller or a single process — runs at any
+// moment; control is handed on explicitly, so simulations are fully
+// deterministic and task code needs no locking.
 //
 // Two task models share one engine (see DESIGN.md §12):
 //
 //   - Processes (Proc) are ordinary Go functions that receive a *Proc handle
 //     and use it to sleep, wait on signals, acquire resources, and exchange
 //     items through queues. Host programs with complex control flow (CUDA
-//     applications, workload scripts) are written as processes. A resume
-//     costs a goroutine handoff, except that an uncontended Sleep — nothing
-//     else pending at or before its wake-up — advances the clock inline.
+//     applications, workload scripts) are written as processes. The dispatch
+//     loop is a baton: a yielding process runs it on its own goroutine, so
+//     resuming the process that just yielded costs no goroutine switch, and
+//     resuming another costs one channel send. An uncontended Sleep —
+//     nothing else pending at or before its wake-up — advances the clock
+//     inline without entering the loop at all.
 //   - Actors are run-to-completion state machines whose continuation steps
-//     fire inline in the engine loop — no goroutine, no channel operations
+//     fire inline in the dispatch loop — no goroutine, no channel operations
 //     per resume. Hot daemon loops (device engines, schedulers) use them.
 //
 // Scheduling internals live in the eventq sub-package: a typed 4-ary
-// min-heap over an index-addressed arena with a free-list, so the steady
-// state neither boxes nor allocates per event. Process resumes are scheduled
-// as direct *Proc payloads and actor steps as (func(any), state) pairs — no
-// closure per wake in either model.
+// min-heap over an index-addressed arena with a free-list, behind a
+// one-entry hold slot for the next event, so the steady state neither
+// boxes nor allocates per event. Process resumes are scheduled as direct
+// *Proc payloads and actor steps as (func(any), state) pairs — no closure
+// per wake in either model.
 package sim
 
 import (
@@ -71,18 +75,20 @@ type Stats struct {
 	Fired uint64
 	// Scheduled counts enqueued events.
 	Scheduled uint64
-	// Handoffs counts engine->process control transfers, each one a
-	// channel round trip plus two goroutine switches — the cost of
-	// goroutine-based coroutines, and exactly what the actor runtime's
-	// inline steps avoid. An uncontended Proc.Sleep advances the clock
-	// inline and counts toward Fired and Scheduled but not Handoffs.
+	// Handoffs counts real goroutine switches into a process: a process's
+	// first start, the baton passed to a process whose resume was popped
+	// on another goroutine, and an Await completion resuming its process.
+	// A process resumed by its own pass through the dispatch loop, and an
+	// uncontended Proc.Sleep that advances the clock inline, count toward
+	// Fired (and Scheduled) but not Handoffs.
 	Handoffs uint64
 	// ActorSteps counts actor continuation steps fired inline in the
 	// engine loop — resumes that cost no channel operation and no
 	// goroutine switch.
 	ActorSteps uint64
-	// AllocsAvoided counts event-arena slots served from the free-list —
-	// allocations the old pointer-heap design would have made.
+	// AllocsAvoided counts event pushes that did not grow the event arena
+	// (served by the queue's hold slot or its free-list) — allocations the
+	// old pointer-heap design would have made.
 	AllocsAvoided uint64
 	// HeapMaxDepth is the event queue's high-water mark.
 	HeapMaxDepth int
@@ -93,7 +99,8 @@ type Stats struct {
 type Engine struct {
 	now      Time
 	queue    eventq.Queue[item]
-	token    chan struct{} // control hand-back from the running process
+	caller   chan struct{} // wakes the Run/RunUntil caller to take the loop back
+	back     chan struct{} // hand-back from a process resumed by finishAwait
 	procs    int           // non-daemon processes spawned and not yet finished
 	actors   int           // non-daemon actors spawned and not yet Done
 	blocked  int           // processes currently waiting on something
@@ -105,6 +112,11 @@ type Engine struct {
 	steps    uint64
 	flushed  Stats // counters already published to the global aggregates
 
+	// A panic on a process goroutine, forwarded to the goroutine that
+	// takes control back (see rethrow).
+	fault   any
+	faulted bool
+
 	// Live non-daemon tasks, in spawn order, for the deadlock report.
 	liveProcs  []*Proc
 	liveActors []*Actor
@@ -112,7 +124,7 @@ type Engine struct {
 
 // NewEngine returns a fresh engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{token: make(chan struct{})}
+	return &Engine{caller: make(chan struct{}), back: make(chan struct{})}
 }
 
 // Now returns the current simulated time.
@@ -170,24 +182,80 @@ func (e *Engine) push(at Time, it item) {
 	e.queue.Push(int64(at), it)
 }
 
-// dispatch runs one popped item at the current clock.
-func (e *Engine) dispatch(it item) {
-	e.fired++
-	switch {
-	case it.proc != nil:
-		e.handoff(it.proc)
-	case it.cfn != nil:
-		e.steps++
-		it.cfn(it.carg)
-	default:
-		it.fn()
+// drive fires events on whichever goroutine holds the baton — the Run
+// caller or a yielding process — until it pops a process resume, which it
+// returns for the caller to act on. Callbacks and actor steps fire inline.
+// drive returns nil when the queue is empty or its next event lies past the
+// horizon of the current Run or RunUntil.
+func (e *Engine) drive() *Proc {
+	for {
+		at, ok := e.queue.MinAt()
+		if !ok || Time(at) > e.horizon {
+			return nil
+		}
+		_, it := e.queue.Pop()
+		e.now = Time(at)
+		e.fired++
+		switch {
+		case it.proc != nil:
+			return it.proc
+		case it.cfn != nil:
+			e.steps++
+			it.cfn(it.carg)
+		default:
+			it.fn()
+		}
+	}
+}
+
+// runLoop runs the dispatch loop from the Run/RunUntil caller's goroutine.
+// Each popped process resume passes the baton to that process; the caller
+// then parks until the loop comes back to it, either because it ran dry on
+// some process goroutine or because an Await handed it back, and drives on.
+// A panic forwarded from a process goroutine panics again here, on the
+// caller's goroutine, with the same value.
+func (e *Engine) runLoop() {
+	for {
+		p := e.drive()
+		if p == nil {
+			return
+		}
+		e.pass(p)
+		<-e.caller
+		e.rethrow()
+	}
+}
+
+// pass hands control to p: the start of its goroutine on its first resume,
+// otherwise one send to its parked goroutine. The caller must not touch
+// engine state until control comes back to it.
+func (e *Engine) pass(p *Proc) {
+	e.handoffs++
+	if body := p.body; body != nil {
+		p.body = nil
+		go p.run(body)
+		return
+	}
+	p.resume <- struct{}{}
+}
+
+// rethrow panics with the value a process goroutine forwarded, if any: a
+// panic raised by an event it fired while holding the loop, or by its own
+// body, surfaces on the goroutine that takes control back.
+func (e *Engine) rethrow() {
+	if e.faulted {
+		r := e.fault
+		e.fault, e.faulted = nil, false
+		panic(r)
 	}
 }
 
 // Run dispatches events until the queue is empty, then returns the final
 // simulated time. Tasks that are still blocked when the queue drains are
 // deadlocked (they can never be resumed); Run panics in that case to surface
-// the modelling bug rather than silently dropping work.
+// the modelling bug rather than silently dropping work. A panic raised by an
+// event or a process body panics out of Run with the same value, whichever
+// goroutine was running the loop when it happened.
 func (e *Engine) Run() Time {
 	if e.running {
 		panic("sim: Run called re-entrantly")
@@ -198,11 +266,7 @@ func (e *Engine) Run() Time {
 		e.running = false
 		e.flushGlobal()
 	}()
-	for e.queue.Len() > 0 {
-		at, it := e.queue.Pop()
-		e.now = Time(at)
-		e.dispatch(it)
-	}
+	e.runLoop()
 	e.checkDeadlock()
 	return e.now
 }
@@ -211,19 +275,12 @@ func (e *Engine) Run() Time {
 // advancing the clock to the deadline. Blocked tasks whose wake-ups lie
 // beyond the deadline are left blocked; but if the queue drains completely
 // while non-daemon tasks are still blocked, they can never be resumed, and
-// RunUntil panics with the same deadlock report as Run.
+// RunUntil panics with the same deadlock report as Run. Panics from events
+// and process bodies surface from RunUntil as they do from Run.
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.horizon = deadline
 	defer e.flushGlobal()
-	for {
-		at, ok := e.queue.MinAt()
-		if !ok || Time(at) > deadline {
-			break
-		}
-		_, it := e.queue.Pop()
-		e.now = Time(at)
-		e.dispatch(it)
-	}
+	e.runLoop()
 	if e.queue.Len() == 0 {
 		e.checkDeadlock()
 	}

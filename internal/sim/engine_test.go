@@ -439,8 +439,10 @@ func TestSleepYieldsToEventAtWakeInstant(t *testing.T) {
 	if strings.Join(log, ",") != "event,sleeper" {
 		t.Fatalf("order = %v, want the pending event first", log)
 	}
-	if h := e.Stats().Handoffs; h != 2 {
-		t.Fatalf("Handoffs = %d, want 2 (start + yielding Sleep)", h)
+	// The yielding Sleep drives the loop itself and pops its own resume
+	// right after the event, so only the start switches goroutines.
+	if h := e.Stats().Handoffs; h != 1 {
+		t.Fatalf("Handoffs = %d, want 1 (the start)", h)
 	}
 }
 

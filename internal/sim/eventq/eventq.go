@@ -13,6 +13,12 @@
 //     schedules and fires events at the same rate stops growing the heap
 //     after warm-up.
 //
+// A one-entry hold slot sits ahead of the heap. A push that sorts strictly
+// before everything queued waits there and never touches the heap or the
+// arena; an earlier push evicts it into the heap. A discrete-event engine
+// mostly schedules its own next event, so most pushes and pops are served
+// by the slot and the heap only sees events that wait behind others.
+//
 // Heap entries carry the (time, seq) ordering key inline next to the arena
 // index, so sift operations move 24-byte entries and never touch payloads.
 // A 4-ary layout halves the tree depth of a binary heap; sift-down scans up
@@ -48,55 +54,95 @@ type Queue[P any] struct {
 	free  []int32 // arena slots available for reuse (LIFO)
 	seq   uint64
 
+	// hold/holdP is the held entry when held is set; it sorts strictly
+	// before every heap entry. Its idx is unused until eviction.
+	hold  entry
+	holdP P
+	held  bool
+
 	maxDepth int
 	reused   uint64
 }
 
 // Len returns the number of queued entries.
-func (q *Queue[P]) Len() int { return len(q.heap) }
+func (q *Queue[P]) Len() int {
+	if q.held {
+		return len(q.heap) + 1
+	}
+	return len(q.heap)
+}
 
 // MaxDepth returns the high-water mark of the queue length.
 func (q *Queue[P]) MaxDepth() int { return q.maxDepth }
 
-// Reused returns how many pushes were served from the free-list instead of
-// growing the arena — each one is an allocation the old pointer-heap design
-// would have made.
+// Reused returns how many pushes did not grow the arena: those served by
+// the hold slot or by the free-list. Each one is an allocation the old
+// pointer-heap design would have made. A held entry evicted into the heap
+// later is not counted again.
 func (q *Queue[P]) Reused() uint64 { return q.reused }
 
 // Push enqueues payload at time at. Order among equal timestamps is the
 // order of Push calls.
 func (q *Queue[P]) Push(at int64, payload P) {
-	var idx int32
-	if n := len(q.free); n > 0 {
-		idx = q.free[n-1]
-		q.free = q.free[:n-1]
-		q.arena[idx] = payload
+	q.seq++
+	e := entry{at: at, seq: q.seq}
+	// Sequence numbers only grow, so the new entry sorts before an older
+	// one exactly when its time is strictly earlier.
+	if (!q.held || at < q.hold.at) && (len(q.heap) == 0 || at < q.heap[0].at) {
+		if q.held {
+			q.toHeap(q.hold, q.holdP)
+		}
+		q.hold, q.holdP, q.held = e, payload, true
 		q.reused++
+	} else if q.toHeap(e, payload) {
+		q.reused++
+	}
+	if n := q.Len(); n > q.maxDepth {
+		q.maxDepth = n
+	}
+}
+
+// toHeap stores payload in the arena and sifts e into the heap. It reports
+// whether the payload reused a free-list slot rather than growing the arena.
+func (q *Queue[P]) toHeap(e entry, payload P) (reused bool) {
+	if n := len(q.free); n > 0 {
+		e.idx = q.free[n-1]
+		q.free = q.free[:n-1]
+		q.arena[e.idx] = payload
+		reused = true
 	} else {
-		idx = int32(len(q.arena))
+		e.idx = int32(len(q.arena))
 		q.arena = append(q.arena, payload)
 	}
-	q.seq++
-	q.heap = append(q.heap, entry{at: at, seq: q.seq, idx: idx})
+	q.heap = append(q.heap, e)
 	q.siftUp(len(q.heap) - 1)
-	if len(q.heap) > q.maxDepth {
-		q.maxDepth = len(q.heap)
-	}
+	return reused
 }
 
 // MinAt returns the timestamp of the next entry; ok is false when empty.
 func (q *Queue[P]) MinAt() (at int64, ok bool) {
+	if q.held {
+		return q.hold.at, true
+	}
 	if len(q.heap) == 0 {
 		return 0, false
 	}
 	return q.heap[0].at, true
 }
 
-// Pop removes and returns the earliest entry. The freed arena slot is
-// zeroed (releasing any closure or pointer the payload held to the GC) and
-// recycled. Pop panics if the queue is empty — the engine's dispatch loop
-// checks Len first, so an empty Pop is a caller bug, not an input error.
+// Pop removes and returns the earliest entry. The vacated hold slot or
+// arena slot is zeroed (releasing any closure or pointer the payload held
+// to the GC), and an arena slot is recycled. Pop panics if the queue is
+// empty — the engine's dispatch loop checks Len first, so an empty Pop is a
+// caller bug, not an input error.
 func (q *Queue[P]) Pop() (at int64, payload P) {
+	var zero P
+	if q.held {
+		payload = q.holdP
+		q.holdP = zero
+		q.held = false
+		return q.hold.at, payload
+	}
 	if len(q.heap) == 0 {
 		panic("eventq: Pop of empty queue")
 	}
@@ -108,7 +154,6 @@ func (q *Queue[P]) Pop() (at int64, payload P) {
 		q.siftDown(0)
 	}
 	payload = q.arena[top.idx]
-	var zero P
 	q.arena[top.idx] = zero
 	q.free = append(q.free, top.idx)
 	return top.at, payload

@@ -8,9 +8,13 @@ import "fmt"
 type Proc struct {
 	eng    *Engine
 	resume chan struct{}
+	body   func(p *Proc) // set until the goroutine starts on the first resume
 	name   string
 	dead   bool
 	daemon bool
+	// nested is set while finishAwait has resumed the process from inside
+	// a step: its next yield hands control back there instead of driving.
+	nested bool
 
 	// blockedOn names what the process is parked on, for deadlock reports.
 	blockedOn string
@@ -53,41 +57,80 @@ func (e *Engine) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
 }
 
 func (e *Engine) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
-	p := &Proc{eng: e, resume: make(chan struct{}), name: name, daemon: daemon}
+	p := &Proc{eng: e, resume: make(chan struct{}), body: fn, name: name, daemon: daemon}
 	if !daemon {
 		e.procs++
 		e.liveProcs = trackLive(e.liveProcs, p, func(x *Proc) bool { return x.dead })
 	}
-	e.Schedule(0, func() {
-		go func() {
-			<-p.resume
-			fn(p)
-			p.dead = true
-			if !p.daemon {
-				e.procs--
-			}
-			e.token <- struct{}{}
-		}()
-		e.handoff(p)
-	})
+	e.scheduleProc(e.now, p)
 	return p
 }
 
-// handoff transfers control to p and blocks until p yields or finishes.
-// It must only be called from the engine loop (inside an event's fire).
-func (e *Engine) handoff(p *Proc) {
-	e.handoffs++
-	p.resume <- struct{}{}
-	<-e.token
+// run is the process goroutine: the body, then — since a finished process
+// still holds the baton — driving the loop on until control passes to
+// another goroutine. A panic on this goroutine, from the body or from an
+// event fired while it drove, is recovered and forwarded to the goroutine
+// that takes control back, which panics again with the same value
+// (Engine.rethrow).
+func (p *Proc) run(body func(p *Proc)) {
+	e := p.eng
+	defer func() {
+		if r := recover(); r != nil {
+			e.fault, e.faulted = r, true
+			if p.nested {
+				e.back <- struct{}{}
+			} else {
+				e.caller <- struct{}{}
+			}
+		}
+	}()
+	body(p)
+	p.dead = true
+	if !p.daemon {
+		e.procs--
+	}
+	if p.nested {
+		p.nested = false
+		e.back <- struct{}{}
+		return
+	}
+	e.release(e.drive())
 }
 
-// yield transfers control back to the engine and blocks until some event
-// resumes this process.
+// release gives up the loop after drive stopped at q: the baton passes to
+// q, or, when the loop ran dry (q nil), back to the Run/RunUntil caller.
+func (e *Engine) release(q *Proc) {
+	if q != nil {
+		e.pass(q)
+	} else {
+		e.caller <- struct{}{}
+	}
+}
+
+// yield suspends the process until an event resumes it. Normally the
+// process drives the loop itself: if the first process resume popped is its
+// own it returns without a goroutine switch, otherwise it releases the loop
+// and parks. Two cases hand control back without driving: a process resumed
+// by finishAwait returns to that step, and an Await yield returns the loop
+// to the Run caller, since the completing step must resume the process
+// synchronously and a process cannot be resumed on its own stack.
 func (p *Proc) yield() {
 	e := p.eng
 	e.blocked++
-	e.token <- struct{}{}
-	<-p.resume
+	switch {
+	case p.nested:
+		p.nested = false
+		e.back <- struct{}{}
+		<-p.resume
+	case p.await == awaitBlocked:
+		e.caller <- struct{}{}
+		<-p.resume
+	default:
+		if q := e.drive(); q != p {
+			e.release(q)
+			<-p.resume
+		}
+	}
 	e.blocked--
 }
 
@@ -111,9 +154,9 @@ func (p *Proc) wake() {
 // When no pending event falls at or before the wake-up instant (and the
 // instant lies within the current Run or RunUntil window), the wake-up would
 // be the very next event popped, so Sleep advances the clock inline instead
-// of round-tripping through the engine goroutine. It still counts one event
-// scheduled and fired, exactly as the yielding path does; only Handoffs and
-// the queue's AllocsAvoided and HeapMaxDepth can differ.
+// of entering the dispatch loop. It still counts one event scheduled and
+// fired, exactly as the yielding path does; only Handoffs and the queue's
+// AllocsAvoided and HeapMaxDepth can differ.
 func (p *Proc) Sleep(d Duration) {
 	e := p.eng
 	at := e.now.Add(max(d, 0))
@@ -132,10 +175,11 @@ func (p *Proc) Sleep(d Duration) {
 // between the two task models. The chain runs under the process's cached
 // bridge actor identity a; when it completes inline (no suspension), Await
 // returns without yielding, matching a synchronous fast path; when it
-// suspends, the process yields once and the chain's final step resumes it
-// with a single handoff, inline in whatever event completed the chain. A
-// blocking operation built from a k-step chain therefore costs the caller
-// at most one context switch instead of k.
+// suspends, the process yields once, handing the loop back to the Run
+// caller, and the chain's final step resumes it with a single handoff,
+// inline in whatever event completed the chain. A blocking operation built
+// from a k-step chain therefore costs the caller at most one context switch
+// instead of k.
 //
 // Await panics if nested — a chain must never start another chain through
 // the same process, since one bridge slot tracks completion.
@@ -159,16 +203,23 @@ func (p *Proc) Await(start func(a *Actor, step func(any), state any)) {
 
 // finishAwait is the completion step Await hands to the chain: a
 // synchronous completion just marks the chain done, while a completion
-// arriving from a later event hands control back to the blocked process.
-// It panics if the chain delivers its completion twice — a corrupted
-// continuation chain, the CPS analogue of a Proc body returning twice.
+// arriving from a later event resumes the blocked process and waits, on
+// whichever goroutine is driving the loop, until the process yields back,
+// so the rest of the completing step runs after it as before. A panic the
+// process raises meanwhile panics again here. finishAwait also panics if
+// the chain delivers its completion twice — a corrupted continuation chain,
+// the CPS analogue of a Proc body returning twice.
 func finishAwait(x any) {
 	p := x.(*Proc)
 	switch p.await {
 	case awaitRunning:
 		p.await = awaitDoneSync
 	case awaitBlocked:
-		p.eng.handoff(p)
+		e := p.eng
+		p.nested = true
+		e.pass(p)
+		<-e.back
+		e.rethrow()
 	default:
 		panic(fmt.Sprintf("sim: Await completion delivered twice to process %q", p.name))
 	}

@@ -47,6 +47,10 @@ func (pt Port) Engine() *sim.Engine { return pt.pl.eng }
 // nil when tracing is off.
 func (pt Port) Observer() *obs.Observer { return pt.pl.obs }
 
+// Frames implements ccmode.Port: the platform's pool, shared by the ports
+// of every GPU on it.
+func (pt Port) Frames() *ccmode.Frames { return &pt.pl.chainFrames }
+
 // Encrypt implements ccmode.Port.
 func (pt Port) Encrypt(p *sim.Proc, n int64) { pt.pl.Encrypt(p, n) }
 

@@ -121,6 +121,8 @@ type Platform struct {
 
 	cryptFrames  sim.FramePool[cryptFrame]
 	bounceFrames sim.FramePool[bounceFrame]
+	// chainFrames backs every Port on this platform (ccmode.Port.Frames).
+	chainFrames ccmode.Frames
 }
 
 type bounceWaiter struct {
