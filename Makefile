@@ -38,10 +38,11 @@ lint-fix:
 	$(GO) run ./cmd/hcclint -baseline lint.baseline -fix ./...
 
 # Byte-identity gate for the protection-mode layer: every committed figure
-# golden, plus the spelling-equivalence tests (every mode alias, and the
-# empty mode for off, must simulate identically to the canonical name).
+# golden, the spelling-equivalence tests (every mode alias, and the empty
+# mode for off, must simulate identically to the canonical name), and the
+# differential tests that hold replayed copies to their step chains.
 golden:
-	$(GO) test ./internal/figures -run 'Golden|ModeSpelling' -count=1
+	$(GO) test ./internal/figures ./internal/cuda ./internal/serve -run 'Golden|ModeSpelling|Differential' -count=1
 
 # Run each native fuzz target for FUZZTIME beyond its seed corpus (plain
 # `go test` replays only the seeds). -fuzz takes one target per package, so
@@ -53,7 +54,9 @@ FUZZ_TARGETS = \
 	./internal/swcrypto:FuzzGHASHConsistency \
 	./internal/hbm:FuzzSlotAllocator \
 	./internal/sim/eventq:FuzzQueue \
-	./internal/ccmode:FuzzByName
+	./internal/ccmode:FuzzByName \
+	./internal/cuda:FuzzPlatformByName \
+	./internal/cuda:FuzzConfigNormalize
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \

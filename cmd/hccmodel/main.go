@@ -8,6 +8,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"text/tabwriter"
@@ -19,39 +20,54 @@ import (
 )
 
 func main() {
-	app := flag.String("app", "", "application to model (empty = whole suite summary)")
-	uvm := flag.Bool("uvm", false, "use the UVM variant")
-	ccMode := flag.String("mode", "tdx-h100",
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command; main only binds it to the process. It returns
+// the exit status (0 success, 1 a bad value, 2 a flag syntax error) so
+// tests can drive it in-process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hccmodel", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	app := fs.String("app", "", "application to model (empty = whole suite summary)")
+	uvm := fs.Bool("uvm", false, "use the UVM variant")
+	ccMode := fs.String("mode", "tdx-h100",
 		"protection mode to compare against off: tdx-h100, tee-io-direct, tee-io-bridge (optionally +pipelined)")
-	platformName := flag.String("platform", "",
+	platformName := fs.String("platform", "",
 		"hardware platform for both runs: "+strings.Join(platform.Names(), ", ")+" (default h100-tdx)")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	prot, err := cuda.PlatformConfig(*platformName, *ccMode)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hccmodel:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "hccmodel:", err)
+		return 1
 	}
 	// The off baseline runs on the same platform — the comparison isolates
 	// the protection mode, not the hardware generation.
 	off, err := cuda.PlatformConfig(*platformName, "off")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hccmodel:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "hccmodel:", err)
+		return 1
 	}
 	if *app != "" {
 		spec, err := workloads.ByName(*app)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		one(spec, *uvm, off, prot)
-		return
+		one(stdout, spec, *uvm, off, prot)
+		return 0
 	}
-	suite(off, prot)
+	suite(stdout, off, prot)
+	return 0
 }
 
-func one(spec workloads.Spec, uvm bool, off, prot cuda.Config) {
+func one(w io.Writer, spec workloads.Spec, uvm bool, off, prot cuda.Config) {
 	mode := workloads.CopyExecute
 	if uvm {
 		mode = workloads.UVM
@@ -61,18 +77,18 @@ func one(spec workloads.Spec, uvm bool, off, prot cuda.Config) {
 	mb := core.Decompose(base.Runtime.Tracer())
 	mc := core.Decompose(cc.Runtime.Tracer())
 
-	fmt.Printf("%s (%s)\n", spec.Name, mode)
-	fmt.Printf("  off:  %s\n", mb)
-	fmt.Printf("  %s: %s\n", prot.Mode, mc)
+	fmt.Fprintf(w, "%s (%s)\n", spec.Name, mode)
+	fmt.Fprintf(w, "  off:  %s\n", mb)
+	fmt.Fprintf(w, "  %s: %s\n", prot.Mode, mc)
 	r := core.Compare(mb, mc)
-	fmt.Printf("  %s/off ratios: Tmem %.2fx  KLO %.2fx  LQT %.2fx  KQT %.2fx  KET %.2fx  alloc %.2fx  free %.2fx  total %.2fx\n",
+	fmt.Fprintf(w, "  %s/off ratios: Tmem %.2fx  KLO %.2fx  LQT %.2fx  KQT %.2fx  KET %.2fx  alloc %.2fx  free %.2fx  total %.2fx\n",
 		prot.Mode, r.Tmem, r.KLO, r.LQT, r.KQT, r.KET, r.Alloc, r.Free, r.Total)
-	fmt.Printf("  prediction check: off %v vs %v, %s %v vs %v\n",
+	fmt.Fprintf(w, "  prediction check: off %v vs %v, %s %v vs %v\n",
 		mb.Predict(), mb.Total, prot.Mode, mc.Predict(), mc.Total)
 }
 
-func suite(off, prot cuda.Config) {
-	w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
+func suite(out io.Writer, off, prot cuda.Config) {
+	w := tabwriter.NewWriter(out, 0, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "APP\tKLR(off)\tKLR(%s)\tREGIME\tTOTAL/OFF\n", prot.Mode)
 	for _, spec := range workloads.All() {
 		base := workloads.Execute(spec, workloads.CopyExecute, off)

@@ -93,3 +93,50 @@ func TestNormalizeCanonicalizesPlatform(t *testing.T) {
 		t.Error("Normalize accepted tdx-h100 on b300-bridge")
 	}
 }
+
+// FuzzPlatformByName: platform.ByName never panics, and a name it accepts
+// resolves to a profile whose canonical name resolves to the same profile.
+func FuzzPlatformByName(f *testing.F) {
+	for _, n := range platform.Names() {
+		f.Add(n)
+		f.Add(" " + strings.ToUpper(n) + " ")
+	}
+	for _, n := range []string{"", "default", "b300", "SEV-SNP", "a100", "h100-tdx+pipelined"} {
+		f.Add(n)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		p, err := platform.ByName(name)
+		if err != nil {
+			return
+		}
+		again, err := platform.ByName(p.Name())
+		if err != nil || !reflect.DeepEqual(again, p) {
+			t.Fatalf("ByName(%q) = %s, but ByName(%q) = %s, %v", name, p.Name(), p.Name(), again.Name(), err)
+		}
+	})
+}
+
+// FuzzConfigNormalize: Config.Normalize never panics on any pair of mode
+// and platform names, and what it accepts is already normal — normalizing
+// again changes nothing.
+func FuzzConfigNormalize(f *testing.F) {
+	for _, m := range append(ccmode.Names(), "", "tdx", "TEE-IO+pipelined", "cc") {
+		for _, p := range append(platform.Names(), "", "b300", "a100") {
+			f.Add(m, p)
+		}
+	}
+	base := DefaultConfig(false)
+	f.Fuzz(func(t *testing.T, mode, plat string) {
+		cfg := base
+		cfg.Mode, cfg.Platform = mode, plat
+		n, err := cfg.Normalize()
+		if err != nil {
+			return
+		}
+		again, err := n.Normalize()
+		if err != nil || !reflect.DeepEqual(again, n) {
+			t.Fatalf("Normalize(%q, %q) = (%q, %q), which normalizes to (%q, %q), %v",
+				mode, plat, n.Mode, n.Platform, again.Mode, again.Platform, err)
+		}
+	})
+}

@@ -41,6 +41,13 @@ type Runtime struct {
 	inited     bool
 
 	memcpyFrames sim.FramePool[memcpyFrame]
+	// copyCosts holds the learned cost of each copy key; learning is set
+	// while one copy runs its chain to learn, and learn is its snapshot
+	// (see memcpyKicked). Each runtime learns its own: nothing is shared
+	// across runtimes or runs.
+	copyCosts map[int64]*copyCost
+	learning  bool
+	learn     copyLearn
 
 	secondary []secondaryDevice
 	nvlink    NVLinkParams

@@ -144,11 +144,16 @@ func (l *Link) BridgeTransfer(p *sim.Proc, d Direction, n int64, gbps float64, p
 	})
 }
 
-// BridgeTransferA is the continuation form of BridgeTransfer.
-func (l *Link) BridgeTransferA(a *sim.Actor, d Direction, n int64, gbps float64, perTLP time.Duration, step func(any), state any) {
+// bridgeResource returns the serialized bridge, creating it on first use.
+func (l *Link) bridgeResource() *sim.Resource {
 	if l.bridge == nil {
 		l.bridge = sim.NewResource(l.eng, 1).SetLabel("pcie-bridge")
 	}
+	return l.bridge
+}
+
+// BridgeTransferA is the continuation form of BridgeTransfer.
+func (l *Link) BridgeTransferA(a *sim.Actor, d Direction, n int64, gbps float64, perTLP time.Duration, step func(any), state any) {
 	if gbps <= 0 {
 		gbps = l.params.EffectiveGBps
 	}
@@ -159,7 +164,7 @@ func (l *Link) BridgeTransferA(a *sim.Actor, d Direction, n int64, gbps float64,
 	f := l.frames.Get()
 	f.l, f.d, f.n, f.step, f.state = l, d, n, step, state
 	f.sp = l.btrk.Begin("bridge-dma").Bytes(n)
-	l.bridge.UseA(a, t, xferDone, f)
+	l.bridgeResource().UseA(a, t, xferDone, f)
 }
 
 // BridgeBusy returns the cumulative busy time of the serialized bridge
@@ -179,6 +184,56 @@ func (l *Link) Transfers(d Direction) uint64 { return l.xfers[d] }
 
 // Busy returns cumulative busy time of direction d, for utilization reports.
 func (l *Link) Busy(d Direction) time.Duration { return l.dir[d].BusyTime() }
+
+// Idle reports whether both directions and the bridge are free with no
+// transfer waiting.
+func (l *Link) Idle() bool {
+	return l.dir[H2D].Idle() && l.dir[D2H].Idle() && (l.bridge == nil || l.bridge.Idle())
+}
+
+// Counters is a snapshot of the link's cumulative counters, indexed by
+// Direction where per-direction.
+type Counters struct {
+	Moved      [2]int64
+	Transfers  [2]uint64
+	Busy       [2]time.Duration
+	BridgeBusy time.Duration
+}
+
+// Counters returns the link's counters now. Take it while the link is
+// idle: a unit held at that moment has its busy time so far included.
+func (l *Link) Counters() Counters {
+	return Counters{
+		Moved:      l.moved,
+		Transfers:  l.xfers,
+		Busy:       [2]time.Duration{l.Busy(H2D), l.Busy(D2H)},
+		BridgeBusy: l.BridgeBusy(),
+	}
+}
+
+// Sub returns the change from o to c.
+func (c Counters) Sub(o Counters) Counters {
+	for d := range c.Moved {
+		c.Moved[d] -= o.Moved[d]
+		c.Transfers[d] -= o.Transfers[d]
+		c.Busy[d] -= o.Busy[d]
+	}
+	c.BridgeBusy -= o.BridgeBusy
+	return c
+}
+
+// Credit adds a counter change to the link, as if the transfers behind it
+// had run: the stand-in for a replayed copy's DMA.
+func (l *Link) Credit(c *Counters) {
+	for d := range l.dir {
+		l.moved[d] += c.Moved[d]
+		l.xfers[d] += c.Transfers[d]
+		l.dir[d].AddBusy(c.Busy[d])
+	}
+	if c.BridgeBusy != 0 {
+		l.bridgeResource().AddBusy(c.BridgeBusy)
+	}
+}
 
 // EstablishSPDM charges the one-time SPDM attestation handshake.
 func (l *Link) EstablishSPDM(p *sim.Proc) {

@@ -128,6 +128,25 @@ func (a *Actor) Sleep(d Duration, step func(any), state any) {
 	e.scheduleStep(e.now.Add(d), step, state)
 }
 
+// SleepAlone is the tail form of Sleep for a step that knows nothing else
+// can observe the time until its wake-up: when now+d (clamped like Sleep)
+// lies strictly before NextAt, it advances the clock to now+d, runs
+// step(state) inline and reports true — exactly what popping that wake-up
+// as the next event would do, without the queue. Otherwise it does nothing
+// and reports false. Call it only as the last action of a step the engine
+// fired: the step and everything under it up to the engine loop must
+// return right after, or their remaining work would run at the later time.
+func (a *Actor) SleepAlone(d Duration, step func(any), state any) bool {
+	e := a.eng
+	at := e.now.Add(max(d, 0))
+	if at >= e.NextAt() {
+		return false
+	}
+	e.now = at
+	step(state)
+	return true
+}
+
 // waiter is one parked task on a wait list (Resource, Queue, Signal):
 // either a blocked Proc or a parked actor continuation.
 type waiter struct {

@@ -318,5 +318,23 @@ func (e *Engine) checkDeadlock() {
 	panic(b.String())
 }
 
+// NextAt returns the earliest instant at which anything other than the
+// step now running can happen: the time of the earliest pending event, or,
+// when none is pending at or before the horizon of the current Run or
+// RunUntil, the instant just past that horizon (math.MaxInt64 under Run).
+// A chain of events that ends strictly before NextAt, started with no
+// foreign task parked on what it touches, runs alone: nothing else fires
+// in between, so nothing else can observe its intermediate states. Outside
+// Run and RunUntil the horizon is that of the last run.
+func (e *Engine) NextAt() Time {
+	if at, ok := e.queue.MinAt(); ok && Time(at) <= e.horizon {
+		return Time(at)
+	}
+	if e.horizon == math.MaxInt64 {
+		return e.horizon
+	}
+	return e.horizon + 1
+}
+
 // Pending reports the number of events waiting in the queue.
 func (e *Engine) Pending() int { return e.queue.Len() }

@@ -44,6 +44,14 @@ func (r *Resource) InUse() int { return r.inUse }
 // QueueLen returns the number of tasks blocked in Acquire.
 func (r *Resource) QueueLen() int { return len(r.waiters) }
 
+// Idle reports whether no unit is held and no task waits for one.
+func (r *Resource) Idle() bool { return r.inUse == 0 && len(r.waiters) == 0 }
+
+// AddBusy credits d of busy time, as if a unit had been held for d more.
+// A caller that stands in for a hold it never made (a replayed copy) keeps
+// BusyTime exact with it.
+func (r *Resource) AddBusy(d Duration) { r.busyTime += d }
+
 func (r *Resource) account() {
 	now := r.eng.now
 	if r.inUse > 0 {

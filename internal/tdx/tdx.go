@@ -184,6 +184,59 @@ func (pl *Platform) Params() Params { return pl.params }
 // Stats returns a snapshot of substrate counters.
 func (pl *Platform) Stats() Stats { return pl.stats }
 
+// Sub returns the change from o to s.
+func (s Stats) Sub(o Stats) Stats {
+	return Stats{
+		Hypercalls:     s.Hypercalls - o.Hypercalls,
+		VMExits:        s.VMExits - o.VMExits,
+		MMIOs:          s.MMIOs - o.MMIOs,
+		BytesEncrypted: s.BytesEncrypted - o.BytesEncrypted,
+		BytesDecrypted: s.BytesDecrypted - o.BytesDecrypted,
+		BytesStaged:    s.BytesStaged - o.BytesStaged,
+		PagesConverted: s.PagesConverted - o.PagesConverted,
+		PagesAccepted:  s.PagesAccepted - o.PagesAccepted,
+		PagesScrubbed:  s.PagesScrubbed - o.PagesScrubbed,
+		DMAMaps:        s.DMAMaps - o.DMAMaps,
+		EncryptTime:    s.EncryptTime - o.EncryptTime,
+		DecryptTime:    s.DecryptTime - o.DecryptTime,
+	}
+}
+
+// Add adds the change o to s.
+func (s *Stats) Add(o *Stats) {
+	s.Hypercalls += o.Hypercalls
+	s.VMExits += o.VMExits
+	s.MMIOs += o.MMIOs
+	s.BytesEncrypted += o.BytesEncrypted
+	s.BytesDecrypted += o.BytesDecrypted
+	s.BytesStaged += o.BytesStaged
+	s.PagesConverted += o.PagesConverted
+	s.PagesAccepted += o.PagesAccepted
+	s.PagesScrubbed += o.PagesScrubbed
+	s.DMAMaps += o.DMAMaps
+	s.EncryptTime += o.EncryptTime
+	s.DecryptTime += o.DecryptTime
+}
+
+// CryptoBusy returns the cumulative time the crypto worker pool had at
+// least one worker busy.
+func (pl *Platform) CryptoBusy() time.Duration { return pl.cryptoWorker.BusyTime() }
+
+// Idle reports whether the copy path's shared host machinery is free: no
+// crypto worker held or awaited, nothing reserved in the bounce pool and
+// no one waiting for it.
+func (pl *Platform) Idle() bool {
+	return pl.cryptoWorker.Idle() && pl.bounceUsed == 0 && len(pl.bounceWait) == 0
+}
+
+// Credit adds a Stats change and crypto-worker busy time to the platform,
+// as if the operations behind them had run: the stand-in for a replayed
+// copy's substrate work.
+func (pl *Platform) Credit(s *Stats, cryptoBusy time.Duration) {
+	pl.stats.Add(s)
+	pl.cryptoWorker.AddBusy(cryptoBusy)
+}
+
 // Engine returns the simulation engine.
 func (pl *Platform) Engine() *sim.Engine { return pl.eng }
 
