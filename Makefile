@@ -52,7 +52,8 @@ FUZZ_TARGETS = \
 	./internal/swcrypto:FuzzXTSRoundTrip \
 	./internal/swcrypto:FuzzChaCha20Poly1305 \
 	./internal/swcrypto:FuzzGHASHConsistency \
-	./internal/hbm:FuzzSlotAllocator \
+	./internal/serve:FuzzKVPool \
+	./internal/serve:FuzzServeTrace \
 	./internal/sim/eventq:FuzzQueue \
 	./internal/ccmode:FuzzByName \
 	./internal/cuda:FuzzPlatformByName \

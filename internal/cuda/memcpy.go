@@ -195,12 +195,15 @@ func memcpyMMIOed(x any) {
 // chain would have made, then lands as the chain would.
 func memcpyReplayed(x any) {
 	f := x.(*memcpyFrame)
-	rt := f.c.rt
-	add := &f.replay.added
 	f.managed = f.replay.managed
+	f.c.rt.credit(&f.replay.added)
+	memcpyLanded(f)
+}
+
+// credit adds one replayed chain's counter changes to the substrate.
+func (rt *Runtime) credit(add *copyCounters) {
 	rt.pl.Credit(&add.tdx, add.crypto)
 	rt.link.Credit(&add.link)
-	memcpyLanded(f)
 }
 
 // learned ends the learning copy's chain: the cost is recorded only if the
@@ -222,6 +225,47 @@ func (rt *Runtime) learned(managed bool) {
 		crypto: after.crypto - l.before.crypto,
 		link:   after.link.Sub(l.before.link),
 	}}
+}
+
+// learnedCost returns the cost a MemcpyA of (dst, src, bytes) would replay
+// if it were kicked now, or nil when it would run its chain: a device-to-
+// device copy, a runtime something can observe, or a key not yet learned.
+func (c *Context) learnedCost(dst, src *Buffer, bytes int64) *copyCost {
+	c.checkCopy(dst, src, bytes)
+	cl := classify(dst, src)
+	if cl.d2d || !c.rt.unobserved() {
+		return nil
+	}
+	return c.rt.copyCosts[copyKey(cl, bytes)]
+}
+
+// LearnedCopy reports whether a MemcpyA of (dst, src, bytes) called now
+// would replay its learned cost rather than run its chain (see
+// memcpyKicked), given that nothing else fires before it lands, and if so
+// the simulated time from the call to the landing (the CopySW kick plus the
+// replayed chain, each clamped as Sleep clamps it). A caller that knows
+// nothing else fires meanwhile can fold the copy into a closed-form step and
+// credit its counters with CreditCopies. Like MemcpyA it panics on an
+// invalid copy (checkCopy).
+func (c *Context) LearnedCopy(dst, src *Buffer, bytes int64) (sim.Duration, bool) {
+	if cost := c.learnedCost(dst, src, bytes); cost != nil {
+		return max(c.rt.params.CopySW, 0) + cost.d, true
+	}
+	return 0, false
+}
+
+// CreditCopies credits the substrate counters with n replays of the copy
+// (dst, src, bytes), exactly what n MemcpyA calls replaying it in turn
+// would add. It panics unless LearnedCopy reports the copy as replayable:
+// crediting a chain that would have run is a caller bug.
+func (c *Context) CreditCopies(dst, src *Buffer, bytes int64, n int) {
+	cost := c.learnedCost(dst, src, bytes)
+	if cost == nil {
+		panic("cuda: CreditCopies of a copy that would not replay")
+	}
+	for range n {
+		c.rt.credit(&cost.added)
+	}
 }
 
 func memcpyLanded(x any) {

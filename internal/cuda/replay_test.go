@@ -262,3 +262,38 @@ func BenchmarkMemcpyAReplayed(b *testing.B) {
 		b.StopTimer()
 	})
 }
+
+// TestLearnedCopyMatchesReplay: LearnedCopy predicts a replayed copy's time
+// from call to landing, and CreditCopies(n) adds exactly what n replays
+// add, which is what lets a caller fold replayed copies into one step.
+func TestLearnedCopyMatchesReplay(t *testing.T) {
+	withReplayLoop(t, func(p *sim.Proc, l *replayLoop, run func()) {
+		rt := l.c.rt
+		if _, ok := l.c.LearnedCopy(l.dst, l.src, 256); ok {
+			t.Error("a copy size never run reports a learned cost")
+		}
+		d, ok := l.c.LearnedCopy(l.dst, l.src, 512)
+		if !ok {
+			t.Fatal("a learned, uncontended copy does not report as replayable")
+		}
+		const n = 3
+		before, start := rt.copyCounters(), p.Now()
+		l.left = n
+		run()
+		if got := p.Now().Sub(start); got != n*d {
+			t.Errorf("%d replayed copies took %v, LearnedCopy predicts %v each", n, got, d)
+		}
+		replayed := rt.copyCounters()
+		l.c.CreditCopies(l.dst, l.src, 512, n)
+		credited := rt.copyCounters()
+		if got, want := credited.tdx.Sub(replayed.tdx), replayed.tdx.Sub(before.tdx); got != want {
+			t.Errorf("CreditCopies added platform stats %+v, %d replays %+v", got, n, want)
+		}
+		if got, want := credited.crypto-replayed.crypto, replayed.crypto-before.crypto; got != want {
+			t.Errorf("CreditCopies added crypto busy %v, %d replays %v", got, n, want)
+		}
+		if got, want := credited.link.Sub(replayed.link), replayed.link.Sub(before.link); got != want {
+			t.Errorf("CreditCopies added link counters %+v, %d replays %+v", got, n, want)
+		}
+	})
+}

@@ -1,6 +1,5 @@
 // Package hbm implements the GPU device-memory substrate: a first-fit
-// allocator with free-list coalescing over the HBM3 address space, its
-// bitmap specialization for uniform granules (the serving KV cache), plus
+// allocator with free-list coalescing over the HBM3 address space, plus
 // the bandwidth constant used by the compute engine's roofline model.
 //
 // The paper's threat model leaves HBM unencrypted (3D-stacked memory behind
@@ -10,7 +9,6 @@ package hbm
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 )
 
@@ -88,9 +86,7 @@ func (a *Allocator) Alloc(size int64) (int64, error) {
 }
 
 // TryAlloc is Alloc without the error: ok is false when the request cannot
-// be satisfied. Allocation-pressure loops (the serving scheduler's KV-cache
-// accountant probes for one more block on every decode iteration) use it to
-// keep the out-of-memory path free of error formatting.
+// be satisfied, and the out-of-memory path formats nothing.
 func (a *Allocator) TryAlloc(size int64) (off int64, ok bool) {
 	if size <= 0 {
 		return 0, false
@@ -179,95 +175,5 @@ func (a *Allocator) CheckInvariants() error {
 		return fmt.Errorf("hbm: free(%d)+live(%d) != capacity(%d)",
 			freeTotal, liveTotal, a.params.CapacityBytes)
 	}
-	return nil
-}
-
-// SlotAllocator is the uniform-granule specialization of Allocator: every
-// allocation is exactly one granule. First-fit over same-size blocks always
-// takes the lowest free granule, so a two-level bitmap returns
-// byte-identical offsets: words holds one set bit per free slot and
-// summary one set bit per word that still has one, so TryAlloc scans at
-// most ⌈slots/4096⌉ summary words and Release sets two bits — where the
-// general free list pays an O(n) sorted insert per release, which
-// dominated the serving scheduler's KV churn. Accounting (used, peak,
-// free) matches Allocator exactly.
-type SlotAllocator struct {
-	granule int64
-	slots   int
-	words   []uint64 // bit s%64 of words[s/64] set: slot s is free
-	summary []uint64 // bit w%64 of summary[w/64] set: words[w] != 0
-	free    int
-	peak    int64
-}
-
-// NewSlotAllocator returns an allocator of slots granules, all free. It
-// panics on non-positive sizes, like NewAllocator.
-func NewSlotAllocator(granule int64, slots int) *SlotAllocator {
-	if granule <= 0 || slots <= 0 {
-		panic("hbm: invalid slot allocator params")
-	}
-	words := setBits(slots)
-	return &SlotAllocator{granule: granule, slots: slots, words: words,
-		summary: setBits(len(words)), free: slots}
-}
-
-// setBits returns the fewest words holding n set low-order bits.
-func setBits(n int) []uint64 {
-	w := make([]uint64, (n+63)/64)
-	for i := range w {
-		w[i] = ^uint64(0)
-	}
-	if r := n % 64; r != 0 {
-		w[len(w)-1] = 1<<r - 1
-	}
-	return w
-}
-
-// Used returns bytes currently allocated.
-func (a *SlotAllocator) Used() int64 { return int64(a.slots-a.free) * a.granule }
-
-// Peak returns the high-water mark of allocated bytes.
-func (a *SlotAllocator) Peak() int64 { return a.peak }
-
-// Free returns bytes currently free.
-//
-//hcclint:unit Bytes
-func (a *SlotAllocator) Free() int64 { return int64(a.free) * a.granule }
-
-// FreeSlots returns the number of free granules.
-func (a *SlotAllocator) FreeSlots() int { return a.free }
-
-// TryAlloc reserves the lowest free granule; ok is false when the pool is
-// exhausted.
-func (a *SlotAllocator) TryAlloc() (off int64, ok bool) {
-	for i, sum := range a.summary {
-		if sum == 0 {
-			continue
-		}
-		w := i*64 + bits.TrailingZeros64(sum)
-		b := bits.TrailingZeros64(a.words[w])
-		a.words[w] &^= 1 << b
-		if a.words[w] == 0 {
-			a.summary[i] &^= 1 << (w % 64)
-		}
-		a.free--
-		if used := a.Used(); used > a.peak {
-			a.peak = used
-		}
-		return int64(w*64+b) * a.granule, true
-	}
-	return 0, false
-}
-
-// Release frees the granule at off. Like Allocator.Release it returns an
-// error on a double free or an offset that was never allocated.
-func (a *SlotAllocator) Release(off int64) error {
-	slot := off / a.granule
-	if off%a.granule != 0 || slot < 0 || slot >= int64(a.slots) || a.words[slot/64]&(1<<(slot%64)) != 0 {
-		return fmt.Errorf("hbm: release of unknown offset %#x", off)
-	}
-	a.words[slot/64] |= 1 << (slot % 64)
-	a.summary[slot/4096] |= 1 << (slot / 64 % 64)
-	a.free++
 	return nil
 }

@@ -44,9 +44,9 @@ type request struct {
 	firstTokenAt simTime
 	doneAt       simTime
 	rejected     bool
-	generated    int // output tokens emitted so far (1 after prefill)
-	kvTokens     int // tokens with KV resident on-device
-	kvBlocks     []int64
+	generated    int  // output tokens emitted so far (1 after prefill)
+	kvTokens     int  // tokens with KV resident on-device
+	kvBlocks     int  // KV blocks held: blocksFor(kvTokens) while resident, else 0
 	swappedOut   bool // preempted: KV lives host-side, swap in on re-admit
 	preemptions  int
 	asp          obs.AsyncSpan // lifecycle interval, arrival -> done/reject

@@ -1,20 +1,17 @@
 package serve
 
-import "hccsim/internal/hbm"
-
-// kvPool accounts paged KV-cache memory against an hbm.SlotAllocator: fixed
-// 2 MiB-class blocks of KVBlockTokens tokens each, allocated as sequences
-// grow one token per decode iteration and released on completion or
-// preemption. Because every block is the same size the heap never
-// fragments, so admission feasibility reduces to a free-block count — and
-// the allocator's free-slot bitmap hands out exactly the offsets first-fit
-// would (always the lowest free block) in a few word scans, without the
-// general free list's O(n) release cost.
+// kvPool accounts paged KV-cache memory in blocks of KVBlockTokens tokens
+// each, allocated as sequences grow one token per decode iteration and
+// released on completion or preemption. Every block is the same size and no
+// output reads where a block lives, so the pool is a count: used blocks
+// against total, with the high-water mark for the report. Admission
+// feasibility is a free-block comparison, and a sequence holds a block count
+// that always equals blocksFor(kvTokens).
 type kvPool struct {
-	alloc       *hbm.SlotAllocator
 	blockBytes  int64
 	blockTokens int
 	totalBlocks int
+	used, peak  int // blocks held now and at most
 	// watermark holds back a slice of blocks at admission time (vLLM-style)
 	// so running sequences have headroom to grow before preemption kicks in.
 	watermark int
@@ -23,17 +20,12 @@ type kvPool struct {
 func newKVPool(capBytes, tokenBytes int64, blockTokens int) *kvPool {
 	blockBytes := int64(blockTokens) * tokenBytes
 	total := int(capBytes / blockBytes)
-	p := &kvPool{
-		alloc:       hbm.NewSlotAllocator(blockBytes, total),
+	return &kvPool{
 		blockBytes:  blockBytes,
 		blockTokens: blockTokens,
 		totalBlocks: total,
-		watermark:   total / 100,
+		watermark:   max(total/100, 1),
 	}
-	if p.watermark < 1 {
-		p.watermark = 1
-	}
-	return p
 }
 
 // blocksFor returns the block count covering tokens tokens.
@@ -42,8 +34,13 @@ func (k *kvPool) blocksFor(tokens int) int {
 }
 
 // freeBlocks returns the number of unallocated blocks.
-func (k *kvPool) freeBlocks() int {
-	return k.alloc.FreeSlots()
+func (k *kvPool) freeBlocks() int { return k.totalBlocks - k.used }
+
+// take moves n free blocks to s.
+func (k *kvPool) take(s *request, n int) {
+	s.kvBlocks += n
+	k.used += n
+	k.peak = max(k.peak, k.used)
 }
 
 // fitsEver reports whether a sequence of maxTokens can ever hold its full
@@ -66,50 +63,44 @@ func (k *kvPool) admit(s *request, tokens int, force bool) bool {
 	if need+headroom > k.freeBlocks() {
 		return false
 	}
-	if s.kvBlocks == nil {
-		// Sized once for the sequence's full length, so neither this admit
-		// nor any grow reallocates; release keeps the capacity.
-		s.kvBlocks = make([]int64, 0, k.blocksFor(s.promptTokens+s.outputTokens))
-	}
-	for i := 0; i < need; i++ {
-		off, ok := k.alloc.TryAlloc()
-		if !ok {
-			// Unreachable given the free-count check above (uniform blocks
-			// cannot fragment); fail closed by rolling back.
-			k.release(s)
-			return false
-		}
-		s.kvBlocks = append(s.kvBlocks, off)
-	}
+	k.take(s, need)
 	s.kvTokens = tokens
 	return true
 }
 
-// grow extends a sequence's KV by one token, allocating a block at block
+// grow extends a sequence's KV by one token, taking a block at block
 // boundaries; returns false (state unchanged) when the pool is exhausted.
 func (k *kvPool) grow(s *request) bool {
-	if k.blocksFor(s.kvTokens+1) > len(s.kvBlocks) {
-		off, ok := k.alloc.TryAlloc()
-		if !ok {
+	if k.blocksFor(s.kvTokens+1) > s.kvBlocks {
+		if k.used == k.totalBlocks {
 			return false
 		}
-		s.kvBlocks = append(s.kvBlocks, off)
+		k.take(s, 1)
 	}
 	s.kvTokens++
 	return true
 }
 
-// release frees all of a sequence's blocks (completion or preemption).
-// Panics on a double free — that is a scheduler bug, not an input error.
-func (k *kvPool) release(s *request) {
-	for _, off := range s.kvBlocks {
-		if err := k.alloc.Release(off); err != nil {
-			panic("serve: kv release: " + err.Error()) // double free = scheduler bug
-		}
+// growBlocks returns the blocks that growing every sequence in run by n
+// tokens would take.
+func (k *kvPool) growBlocks(run []*request, n int) int {
+	blocks := 0
+	for _, s := range run {
+		blocks += k.blocksFor(s.kvTokens+n) - s.kvBlocks
 	}
-	s.kvBlocks = s.kvBlocks[:0]
+	return blocks
 }
 
-// usedBytes and peakBytes expose the allocator's accounting.
-func (k *kvPool) usedBytes() int64 { return k.alloc.Used() }
-func (k *kvPool) peakBytes() int64 { return k.alloc.Peak() }
+// release frees all of a sequence's blocks (completion or preemption). It
+// panics when the pool holds fewer blocks than the sequence claims — a
+// double free, which is a scheduler bug, not an input error.
+func (k *kvPool) release(s *request) {
+	if s.kvBlocks > k.used {
+		panic("serve: kv release of more blocks than the pool holds") // double free = scheduler bug
+	}
+	k.used -= s.kvBlocks
+	s.kvBlocks = 0
+}
+
+// peakBytes is the high-water mark in bytes.
+func (k *kvPool) peakBytes() int64 { return int64(k.peak) * k.blockBytes }

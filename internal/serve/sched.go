@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"time"
 
 	"hccsim/internal/cuda"
@@ -36,7 +37,7 @@ import (
 // schedule panics only on internal invariant violations (an unresolvable
 // mode after withDefaults normalized it, or a pool too small for a solo
 // sequence, which fitsEver already excluded).
-func schedule(cfg Config, sys cuda.Config, quant nn.Quant, model *costModel, wl []*request) Report {
+func schedule(cfg Config, sys cuda.Config, quant nn.Quant, model *costModel, wl []*request) outcome {
 	backend, _ := nn.BackendByName(cfg.Backend)
 	mode, err := sys.ResolveMode()
 	if err != nil {
@@ -195,7 +196,16 @@ func schedule(cfg Config, sys cuda.Config, quant nn.Quant, model *costModel, wl 
 		g("serve.kv_peak_bytes", "bytes", float64(rep.KVPeakBytes))
 		g("serve.queue_peak_depth", "count", float64(rep.QueuePeakDepth))
 	}
-	return rep
+	return outcome{rep: rep, wl: wl, kv: kv, rt: rt}
+}
+
+// outcome is one drained run: the report, plus the per-request timelines,
+// KV pool and runtime that the package's tests hold to account.
+type outcome struct {
+	rep Report
+	wl  []*request
+	kv  *kvPool
+	rt  *cuda.Runtime
 }
 
 // schedLoop is the scheduler's steady-state loop as a run-to-completion
@@ -235,8 +245,13 @@ type schedLoop struct {
 	admitted      []*request
 	prefillTokens int
 	swap          *request // sequence whose KV copy is in flight
-	di            int      // decode growth cursor into running
+	swapDst       *cuda.Buffer
+	swapSrc       *cuda.Buffer
+	swapLeft      int64     // bytes of the swap not yet copied
+	swapDone      func(any) // step once the swap has landed
+	di            int       // decode growth cursor into running
 	batch         int
+	runK          int // iterations in the closed-form decode run in flight
 }
 
 // schedAdmit starts an iteration: reset the admission sets and pull from
@@ -283,7 +298,7 @@ func schedAdmitNext(x any) {
 			// Swap the preempted KV back in (H2D) and resume decoding.
 			l.swap = s
 			l.swapSp = l.trk.Begin("swap-in").Bytes(int64(s.kvTokens) * l.tokenBytes).Request(int64(s.id))
-			l.c.MemcpyA(l.a, l.dKV, l.hSwap, int64(s.kvTokens)*l.tokenBytes, schedSwappedIn, l)
+			schedSwap(l, l.dKV, l.hSwap, int64(s.kvTokens)*l.tokenBytes, schedSwappedIn)
 			return
 		}
 		l.admitted = append(l.admitted, s)
@@ -291,6 +306,27 @@ func schedAdmitNext(x any) {
 		l.prefillTokens += s.promptTokens
 	}
 	schedIterate(l)
+}
+
+// schedSwap moves a preempted sequence's KV between the device pool and
+// the host swap buffer, then continues with done. The buffer holds the
+// longest prompt+output, but a sequence preempted after its KV already grew
+// in that iteration keeps the extra token, so one that is preempted again
+// and again can outgrow it; such a swap goes in buffer-sized copies.
+func schedSwap(l *schedLoop, dst, src *cuda.Buffer, bytes int64, done func(any)) {
+	l.swapDst, l.swapSrc, l.swapLeft, l.swapDone = dst, src, bytes, done
+	schedSwapNext(l)
+}
+
+func schedSwapNext(x any) {
+	l := x.(*schedLoop)
+	if l.swapLeft == 0 {
+		l.swapDone(l)
+		return
+	}
+	n := min(l.swapLeft, l.hSwap.Size())
+	l.swapLeft -= n
+	l.c.MemcpyA(l.a, l.swapDst, l.swapSrc, n, schedSwapNext, l)
 }
 
 func schedSwappedIn(x any) {
@@ -315,6 +351,9 @@ func schedIterate(x any) {
 		l.itsp = l.trk.Begin("prefill").Count(int64(l.prefillTokens))
 		l.c.MemcpyA(l.a, l.dIO, l.hIO, int64(l.prefillTokens)*tokenIDBytes, schedPrefillIDsUp, l) // prompt ids H2D
 	case len(l.running) > 0:
+		if schedDecodeRun(l) {
+			return
+		}
 		// Decode iteration: one token per running sequence.
 		l.rep.DecodeIters++
 		l.itsp = l.trk.Begin("decode").Count(int64(len(l.running)))
@@ -403,7 +442,7 @@ func schedDecodeGrow(x any) {
 			}
 			l.swap = victim
 			l.swapSp = l.trk.Begin("swap-out").Bytes(int64(victim.kvTokens) * l.tokenBytes).Request(int64(victim.id))
-			l.c.MemcpyA(l.a, l.hSwap, l.dKV, int64(victim.kvTokens)*l.tokenBytes, schedPreempted, l) // swap out D2H
+			schedSwap(l, l.hSwap, l.dKV, int64(victim.kvTokens)*l.tokenBytes, schedPreempted) // swap out D2H
 			return
 		}
 		l.di++
@@ -462,5 +501,76 @@ func schedDecodeIDsDown(x any) {
 	}
 	l.running = keep
 	l.itsp.End()
+	schedAdmit(l)
+}
+
+// schedDecodeRun runs, in closed form, the longest stretch of decode
+// iterations that nothing can interrupt, and reports whether it ran any
+// (DESIGN.md §10, §12). It applies only where the run has no observer and
+// both token-id copies of this batch would replay a learned cost, so one
+// iteration takes a fixed d. It takes the largest k such that no sequence
+// completes in iterations 1..k, their KV growth fits the free blocks (no
+// preemption), and they end strictly before the next pending event (no
+// arrival, so the admission phases between them admit nothing). The clock
+// then jumps k·d and schedDecodeRunDone applies the k iterations at once.
+// Like Actor.SleepAlone, call it only as the tail of a step the engine fired;
+// the one call that is not, the scheduler's start, finds running empty.
+func schedDecodeRun(l *schedLoop) bool {
+	if l.cfg.Observer != nil {
+		return false
+	}
+	ids := int64(len(l.running)) * tokenIDBytes
+	up, ok := l.c.LearnedCopy(l.dIO, l.hIO, ids)
+	if !ok {
+		return false
+	}
+	down, ok := l.c.LearnedCopy(l.hIO, l.dIO, ids)
+	if !ok {
+		return false
+	}
+	d := up + max(l.hostCost, 0) + max(l.model.decode(len(l.running)), 0) + down
+	k := math.MaxInt
+	for _, s := range l.running {
+		k = min(k, s.outputTokens-s.generated-1)
+	}
+	if d > 0 {
+		k = min(k, int((l.a.Engine().NextAt()-l.a.Now()-1)/sim.Time(d)))
+	}
+	if free := l.kv.freeBlocks(); k > 0 && l.kv.growBlocks(l.running, k) > free {
+		// Largest k with the growth fitting: growBlocks rises with k.
+		lo, hi := 0, k
+		for hi-lo > 1 {
+			if mid := (lo + hi) / 2; l.kv.growBlocks(l.running, mid) > free {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+		k = lo
+	}
+	if k < 1 {
+		return false
+	}
+	l.runK = k
+	return l.a.SleepAlone(time.Duration(k)*d, schedDecodeRunDone, l)
+}
+
+// schedDecodeRunDone lands a closed-form decode run: every running sequence
+// grows and generates k tokens, and the counters take k iterations' worth,
+// copy credits included, before admission resumes as after iteration k.
+func schedDecodeRunDone(x any) {
+	l := x.(*schedLoop)
+	k, b := l.runK, len(l.running)
+	for _, s := range l.running {
+		s.generated += k
+		s.kvTokens += k
+		l.kv.take(s, l.kv.blocksFor(s.kvTokens)-s.kvBlocks)
+	}
+	l.rep.DecodeIters += k
+	l.batchSum += int64(k * b)
+	l.tokensOut += int64(k * b)
+	ids := int64(b) * tokenIDBytes
+	l.c.CreditCopies(l.dIO, l.hIO, ids, k)
+	l.c.CreditCopies(l.hIO, l.dIO, ids, k)
 	schedAdmit(l)
 }

@@ -311,11 +311,16 @@ func (r Report) String() string {
 // for concurrent use from multiple goroutines (each run owns its engine;
 // the calibration memo is mutex-guarded).
 func Run(cfg Config) (Report, error) {
+	o, err := run(cfg)
+	return o.rep, err
+}
+
+// run is Run returning the whole outcome.
+func run(cfg Config) (outcome, error) {
 	cfg, backend, quant, sys, err := cfg.withDefaults()
 	if err != nil {
-		return Report{}, err
+		return outcome{}, err
 	}
 	model := calibrated(sys, backend, quant, cfg.MaxBatch)
-	wl := drawWorkload(cfg)
-	return schedule(cfg, sys, quant, model, wl), nil
+	return schedule(cfg, sys, quant, model, drawWorkload(cfg)), nil
 }
