@@ -56,6 +56,7 @@ FUZZ_TARGETS = \
 	./internal/serve:FuzzServeTrace \
 	./internal/sim/eventq:FuzzQueue \
 	./internal/ccmode:FuzzByName \
+	./internal/batch:FuzzParseAxis \
 	./internal/cuda:FuzzPlatformByName \
 	./internal/cuda:FuzzConfigNormalize
 

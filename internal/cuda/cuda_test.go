@@ -591,7 +591,12 @@ func TestWaitEventUnrecordedPanics(t *testing.T) {
 // TestSetTracerNilKeepsTiming runs one program over every recording site
 // (alloc, sync and async copies, kernel and graph launches, UVM migrate,
 // prefetch and write-back) with and without a tracer: dropping the trace
-// must leave the simulated clock and the event count untouched.
+// must leave the simulated clock and the event count untouched. It includes
+// the nn training iteration's shape — more launches on a created stream
+// than its ring holds, then a device sync and a blocking copy — because the
+// nn models run untraced. Each blocking copy here has its own size: an
+// untraced run replays a repeated copy's learned cost (memcpyKicked), which
+// fires fewer events by design.
 func TestSetTracerNilKeepsTiming(t *testing.T) {
 	body := func(c *Context) {
 		h := c.MallocHost("h", 8<<20)
@@ -601,6 +606,14 @@ func TestSetTracerNilKeepsTiming(t *testing.T) {
 		spec := gpu.KernelSpec{Name: "k", Fixed: 20 * time.Microsecond}
 		c.Launch(spec, nil)
 		c.GraphCreate([]gpu.KernelSpec{spec, spec}).Launch(nil)
+		s := c.StreamCreate()
+		c.Memcpy(d, h, 1<<20)
+		for i := 0; i < c.Runtime().params.RingSlots+16; i++ {
+			c.Launch(gpu.KernelSpec{Name: "ring", Fixed: 3 * time.Microsecond}, s)
+		}
+		c.GraphCreate([]gpu.KernelSpec{spec, spec, spec}).Launch(s)
+		c.Sync()
+		c.Memcpy(h, d, 4096)
 		m := c.MallocManaged("m", 8<<20)
 		c.Launch(gpu.KernelSpec{Name: "uvmk", Fixed: 10 * time.Microsecond,
 			Managed: []gpu.ManagedAccess{{Range: m.Managed(), Bytes: 4 << 20}}}, nil)
@@ -632,7 +645,7 @@ func TestSetTracerNilKeepsTiming(t *testing.T) {
 		for _, e := range traced.Tracer().Events() {
 			seen[e.Name] = true
 		}
-		for _, site := range []string{"k", "memcpyAsync", "uvm-migrate", "uvm-prefetch", "uvm-writeback"} {
+		for _, site := range []string{"k", "ring", "memcpyAsync", "uvm-migrate", "uvm-prefetch", "uvm-writeback"} {
 			if !seen[site] {
 				t.Errorf("cc=%v: traced run recorded no %s event: %v", cc, site, seen)
 			}

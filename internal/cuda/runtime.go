@@ -237,14 +237,18 @@ func (s *Stream) throttle() {
 	}
 }
 
+// prune drops the completed commands from the in-flight window. Every
+// tracked signal belongs to a command on the stream's own channel, which
+// completes its commands strictly in submission order, so the fired
+// signals are always a prefix of pending.
 func (s *Stream) prune() {
-	keep := s.pending[:0]
-	for _, sig := range s.pending {
-		if !sig.Fired() {
-			keep = append(keep, sig)
-		}
+	n := 0
+	for n < len(s.pending) && s.pending[n].Fired() {
+		n++
 	}
-	s.pending = keep
+	if n > 0 {
+		s.pending = s.pending[:copy(s.pending, s.pending[n:])]
+	}
 }
 
 // track registers a submitted command for window accounting.

@@ -337,8 +337,8 @@ func ExtCNNBatchSweep() Table {
 	for _, m := range nn.Models() {
 		row := []interface{}{m.Name}
 		for _, b := range batches {
-			base := nn.TrainSimulate(nn.TrainConfig{Model: m, Batch: b, Precision: nn.FP32})
-			cc := nn.TrainSimulate(nn.TrainConfig{Model: m, Batch: b, Precision: nn.FP32, Mode: "tdx-h100"})
+			base := train(nn.TrainConfig{Model: m, Batch: b, Precision: nn.FP32, Mode: ccMode(false)})
+			cc := train(nn.TrainConfig{Model: m, Batch: b, Precision: nn.FP32, Mode: ccMode(true)})
 			row = append(row, fmt.Sprintf("%.1f%%", 100*(1-cc.Throughput/base.Throughput)))
 		}
 		t.AddRow(row...)

@@ -3,7 +3,6 @@ package figures
 import (
 	"fmt"
 
-	"hccsim/internal/cuda"
 	"hccsim/internal/nn"
 )
 
@@ -21,14 +20,14 @@ func Fig13CNN() Table {
 	var drop64, drop1024, ampEffect64, fp16Cut float64
 	for _, m := range nn.Models() {
 		for _, batch := range []int{64, 1024} {
-			ref := nn.TrainSimulate(nn.TrainConfig{Model: m, Batch: batch, Precision: nn.FP32})
+			ref := train(nn.TrainConfig{Model: m, Batch: batch, Precision: nn.FP32, Mode: ccMode(false)})
 			precs := []nn.Precision{nn.FP32, nn.AMP}
 			if batch == 1024 {
 				precs = append(precs, nn.FP16)
 			}
 			for _, prec := range precs {
 				for _, cc := range []bool{false, true} {
-					r := nn.TrainSimulateWith(nn.TrainConfig{Model: m, Batch: batch, Precision: prec}, cuda.DefaultConfig(cc))
+					r := train(nn.TrainConfig{Model: m, Batch: batch, Precision: prec, Mode: ccMode(cc)})
 					mode := "base"
 					if cc {
 						mode = "cc"
@@ -44,11 +43,11 @@ func Fig13CNN() Table {
 						}
 					}
 					if prec == nn.FP16 && cc && batch == 1024 {
-						ccFP32 := nn.TrainSimulate(nn.TrainConfig{Model: m, Batch: batch, Precision: nn.FP32, Mode: "tdx-h100"})
+						ccFP32 := train(nn.TrainConfig{Model: m, Batch: batch, Precision: nn.FP32, Mode: ccMode(true)})
 						fp16Cut += 1 - r.TrainingTime.Seconds()/ccFP32.TrainingTime.Seconds()
 					}
 					if prec == nn.AMP && cc && batch == 64 {
-						ccFP32 := nn.TrainSimulate(nn.TrainConfig{Model: m, Batch: 64, Precision: nn.FP32, Mode: "tdx-h100"})
+						ccFP32 := train(nn.TrainConfig{Model: m, Batch: 64, Precision: nn.FP32, Mode: ccMode(true)})
 						ampEffect64 += 1 - r.Throughput/ccFP32.Throughput
 					}
 				}
@@ -82,8 +81,8 @@ func Fig14LLM() Table {
 	for _, s := range all {
 		row := []interface{}{fmt.Sprintf("%s|cc-%v|vllm", s.quant, onOff(s.cc))}
 		for _, b := range nn.Batches {
-			baseline := nn.LLMSimulate(nn.LLMConfig{Backend: nn.HF, Quant: nn.BF16, Batch: b})
-			v := nn.LLMSimulateWith(nn.LLMConfig{Backend: nn.VLLM, Quant: s.quant, Batch: b}, cuda.DefaultConfig(s.cc))
+			baseline := llm(nn.LLMConfig{Backend: nn.HF, Quant: nn.BF16, Batch: b, Mode: ccMode(false)})
+			v := llm(nn.LLMConfig{Backend: nn.VLLM, Quant: s.quant, Batch: b, Mode: ccMode(s.cc)})
 			speedup := v.TokensPerSec / baseline.TokensPerSec
 			if speedup < minSpeedup {
 				minSpeedup = speedup

@@ -111,12 +111,14 @@ func init() {
 	})
 }
 
-// rawGenerate runs the generator for id directly, bypassing the pool.
+// rawGenerate runs the generator for id directly, bypassing the pool,
+// inside a reuse scope, so a figure that repeats a run simulates it once.
 func rawGenerate(id string) (Table, error) {
 	e, ok := registry[id]
 	if !ok {
 		return Table{}, fmt.Errorf("figures: unknown figure %q (known: %v)", id, IDs())
 	}
+	defer beginReuse()()
 	return e.gen(), nil
 }
 
@@ -150,9 +152,10 @@ func Generate(id string) (Table, error) {
 // Results come back in display order; the first failure aborts.
 //
 // The whole fan-out runs inside one sub-result reuse scope: every
-// default-config workload simulation is executed once and shared across the
-// generators that need it (fig5/6/7/9/11 and the observations summary all
-// sweep the same suite), instead of each figure re-simulating the suite.
+// default-config workload, CNN and LLM simulation is executed once and
+// shared across the generators that need it (fig5/6/7/9/11 and the
+// observations summary all sweep the same suite; ext-cnnbatch repeats
+// fig13's cells), instead of each figure re-simulating them.
 func GenerateAll(parallel int) ([]Table, error) {
 	defer beginReuse()()
 	results := (&batch.Pool{Workers: parallel}).Run(Jobs())

@@ -9,6 +9,7 @@ package trace
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"hccsim/internal/sim"
@@ -57,13 +58,21 @@ type Event struct {
 // Duration returns the event's extent.
 func (e Event) Duration() time.Duration { return e.End.Sub(e.Start) }
 
-// Tracer records events. It is not safe for concurrent use; the simulator
-// is single-threaded by construction. A nil *Tracer records nothing:
-// Record and NextSeq return 0, so a run that never reads its trace (the
-// serving loop) skips the recording cost without guards at each site.
+// Tracer records events. Recording is not safe for concurrent use; the
+// simulator is single-threaded by construction. Once recording has stopped,
+// any number of goroutines may call Analyze concurrently (figure workers
+// share finished runs): the analysis is computed once and cached until the
+// next Record, so callers must treat the returned KLOs and KETs as
+// read-only. A nil *Tracer records nothing: Record and NextSeq return 0, so
+// a run that never reads its trace (the serving loop, the nn models) skips
+// the recording cost without guards at each site.
 type Tracer struct {
 	events []Event
 	seq    int
+
+	mu        sync.Mutex
+	analyzed  *Metrics // analysis of events[:analyzedN], nil before the first
+	analyzedN int
 }
 
 // New returns an empty tracer.
@@ -155,8 +164,20 @@ type Metrics struct {
 	KLOs, KETs []time.Duration
 }
 
-// Analyze extracts Metrics from the trace.
+// Analyze extracts Metrics from the trace. The result is cached while no
+// event is recorded, so repeated calls cost nothing; its KLOs and KETs are
+// shared between calls and must not be modified.
 func (t *Tracer) Analyze() Metrics {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.analyzed == nil || t.analyzedN != len(t.events) {
+		m := t.analyze()
+		t.analyzed, t.analyzedN = &m, len(t.events)
+	}
+	return *t.analyzed
+}
+
+func (t *Tracer) analyze() Metrics {
 	var m Metrics
 	var launches, kernels []Event
 	busy := make([]Event, 0, len(t.events)) // host-side API events for gap accounting

@@ -3,8 +3,10 @@ package trace
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -407,5 +409,98 @@ func TestUtilization(t *testing.T) {
 	}
 	if (New()).Utilize() != (Utilization{}) {
 		t.Fatal("empty trace utilization not zero")
+	}
+}
+
+// mixedTrace records n launch/kernel pairs with a copy and a sync between
+// them into tr, so every Metrics field the analysis fills is nonzero.
+func mixedTrace(tr *Tracer, from, n int) {
+	for i := from; i < from+n; i++ {
+		at := int64(i) * 1000
+		seq := tr.NextSeq()
+		tr.Record(ev(KindLaunch, at, at+40, seq))
+		tr.Record(ev(KindMemcpyH2D, at+100, at+300, 0))
+		tr.Record(ev(KindKernel, at+320, at+700, seq))
+		tr.Record(ev(KindSync, at+310, at+710, 0))
+	}
+}
+
+func TestAnalyzeRepeatAllocatesNothing(t *testing.T) {
+	tr := New()
+	mixedTrace(tr, 0, 50)
+	first := tr.Analyze()
+	if allocs := testing.AllocsPerRun(20, func() { tr.Analyze() }); allocs != 0 {
+		t.Fatalf("repeated Analyze allocates %.0f times, want 0", allocs)
+	}
+	if again := tr.Analyze(); !reflect.DeepEqual(again, first) {
+		t.Fatalf("cached analysis differs:\n%+v\n%+v", again, first)
+	}
+}
+
+// Recording after an analysis invalidates it: the next Analyze sees every
+// event, exactly as a tracer analyzed only at the end does.
+func TestAnalyzeAfterRecordMatchesFresh(t *testing.T) {
+	tr := New()
+	mixedTrace(tr, 0, 10)
+	early := tr.Analyze()
+	mixedTrace(tr, 10, 10)
+	fresh := New()
+	mixedTrace(fresh, 0, 20)
+	got, want := tr.Analyze(), fresh.Analyze()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Analyze after Record:\n%+v\nfresh tracer:\n%+v", got, want)
+	}
+	if early.Launches != 10 || got.Launches != 20 {
+		t.Fatalf("launches %d then %d, want 10 then 20", early.Launches, got.Launches)
+	}
+}
+
+func TestAnalyzeZeroValueAndLoaded(t *testing.T) {
+	var zero Tracer
+	if m := zero.Analyze(); !reflect.DeepEqual(m, Metrics{}) {
+		t.Fatalf("empty zero-value tracer analyzes to %+v", m)
+	}
+	mixedTrace(&zero, 0, 5)
+	ref := New()
+	mixedTrace(ref, 0, 5)
+	want := ref.Analyze()
+	if got := zero.Analyze(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("zero-value tracer:\n%+v\nNew tracer:\n%+v", got, want)
+	}
+	var buf bytes.Buffer
+	if err := ref.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadJSON(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := back.Analyze(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ReadJSON tracer:\n%+v\noriginal:\n%+v", got, want)
+	}
+}
+
+// Figure workers analyze shared finished runs concurrently; run under
+// -race, this holds the cache to that contract.
+func TestAnalyzeConcurrent(t *testing.T) {
+	tr := New()
+	mixedTrace(tr, 0, 200)
+	ref := New()
+	mixedTrace(ref, 0, 200)
+	want := ref.Analyze()
+	got := make([]Metrics, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = tr.Analyze()
+		}(i)
+	}
+	wg.Wait()
+	for i, m := range got {
+		if !reflect.DeepEqual(m, want) {
+			t.Fatalf("goroutine %d: %+v, want %+v", i, m, want)
+		}
 	}
 }
