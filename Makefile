@@ -37,12 +37,14 @@ lint:
 lint-fix:
 	$(GO) run ./cmd/hcclint -baseline lint.baseline -fix ./...
 
-# Byte-identity gate for the protection-mode layer: every committed figure
-# golden, the spelling-equivalence tests (every mode alias, and the empty
+# Byte-identity gate: every committed golden (figures, the Chrome traces of
+# the root package, the sim engine's interleaving, and each command's
+# stdout), the spelling-equivalence tests (every mode alias, and the empty
 # mode for off, must simulate identically to the canonical name), and the
 # differential tests that hold replayed copies to their step chains.
 golden:
-	$(GO) test ./internal/figures ./internal/cuda ./internal/serve -run 'Golden|ModeSpelling|Differential' -count=1
+	$(GO) test . ./internal/sim ./internal/figures ./internal/cuda ./internal/serve ./cmd/... \
+		-run 'Golden|ModeSpelling|Differential' -count=1
 
 # Run each native fuzz target for FUZZTIME beyond its seed corpus (plain
 # `go test` replays only the seeds). -fuzz takes one target per package, so

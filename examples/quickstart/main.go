@@ -54,5 +54,5 @@ func main() {
 	fmt.Printf("\nconfidential computing cost this application %.2fx.\n",
 		float64(totals[1])/float64(totals[0]))
 	fmt.Println("run `hccmodel -app <name>` for any of the 43 benchmark apps,")
-	fmt.Println("or `hccbench all` to regenerate every figure of the paper.")
+	fmt.Println("or `hccreport all` to regenerate every figure of the paper.")
 }

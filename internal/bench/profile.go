@@ -1,4 +1,4 @@
-// Package bench holds the profiling hooks the commands share: hccbench and
+// Package bench holds the profiling hooks the commands share: hccreport and
 // hccsweep expose them as -cpuprofile/-memprofile/-trace flags around the
 // work an invocation does. The repository's performance benchmark lives in
 // hccperf (bash hccperf/run.sh).
@@ -13,7 +13,7 @@ import (
 )
 
 // ProfileConfig holds the profiling outputs a command was asked for. Empty
-// paths mean "off". Both hccbench and hccsweep expose these as
+// paths mean "off". Both hccreport and hccsweep expose these as
 // -cpuprofile/-memprofile/-trace flags.
 type ProfileConfig struct {
 	CPUProfile string

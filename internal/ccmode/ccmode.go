@@ -18,9 +18,10 @@
 // Modes are pure policy: they carry no latency constants of their own and
 // act on the simulation only through a Port, the narrow view of the
 // CPU-substrate + link primitives the copy and fault paths need. The
-// concrete Port lives in internal/tdx, which keeps this package a leaf
-// (ccmode imports only the leaf packages internal/sim and internal/obs) so
-// every other layer can depend on it.
+// concrete Port lives in internal/tdx, which keeps this package near the
+// bottom of the import graph (ccmode imports only internal/sim,
+// internal/obs and internal/pcie, none of which imports anything above
+// them) so every other layer can depend on it.
 package ccmode
 
 import (
@@ -29,51 +30,33 @@ import (
 	"time"
 
 	"hccsim/internal/obs"
+	"hccsim/internal/pcie"
 	"hccsim/internal/sim"
 )
 
-// Direction of a transfer relative to the host. Mirrors pcie.Direction
-// without importing it, so ccmode stays a leaf package.
-type Direction int
+// Direction of a transfer relative to the host: the link's own type, so
+// modes and the link never translate between two spellings.
+type Direction = pcie.Direction
 
 // Transfer directions.
 const (
-	H2D Direction = iota // host to device
-	D2H                  // device to host
+	H2D = pcie.H2D // host to device
+	D2H = pcie.D2H // device to host
 )
-
-func (d Direction) String() string {
-	if d == H2D {
-		return "H2D"
-	}
-	return "D2H"
-}
 
 // Port is the narrow view of the platform and link that mode copy/fault
 // transforms act through: software crypto, the SWIOTLB bounce pool, host
 // staging copies, and DMA — direct per-direction or through the serialized
 // encrypted bridge. internal/tdx provides the concrete implementation.
+//
+// Each operation is continuation-passing: it runs under actor a with the
+// operation's cost and blocking semantics, then runs step(state) when it
+// completes — inline when it completes synchronously. Blocking callers
+// reach a chain through a Proc's Await bridge (Mode.Transfer).
 type Port interface {
 	// Engine returns the simulation engine (pipelined modes spawn helper
 	// processes on it).
 	Engine() *sim.Engine
-	// Encrypt charges protecting n outbound bytes (software AES-GCM on the
-	// bounce path, per-TLP IDE latency on TEE-IO paths, no-op when off).
-	Encrypt(p *sim.Proc, n int64)
-	// Decrypt charges unprotecting n inbound bytes.
-	Decrypt(p *sim.Proc, n int64)
-	// BounceAcquire reserves n bytes of SWIOTLB bounce space (blocking).
-	BounceAcquire(p *sim.Proc, n int64)
-	// BounceRelease returns n bytes to the bounce pool.
-	BounceRelease(n int64)
-	// HostMemcpy charges a CPU staging copy of n bytes.
-	HostMemcpy(p *sim.Proc, n int64)
-	// DMA moves n bytes over the full-duplex link in direction d.
-	DMA(p *sim.Proc, d Direction, n int64)
-	// BridgeDMA moves n bytes through the serialized encrypted CPU–GPU
-	// bridge: one resource spanning both directions, derated bandwidth,
-	// hardware IDE latency per transaction.
-	BridgeDMA(p *sim.Proc, d Direction, n int64)
 	// Observer returns the attached observability layer, or nil when
 	// tracing is off; modes open copy-path spans through it, paying one
 	// nil check when disabled.
@@ -82,20 +65,29 @@ type Port interface {
 	// their frames from; one per engine, shared by every port on it.
 	Frames() *Frames
 
-	// The A-forms are the continuation-passing counterparts used by actor
-	// chains (run-to-completion tasks and Proc Await bridges): same costs
-	// and blocking semantics, with step(state) run when the operation
-	// completes — inline when it completes synchronously.
+	// EncryptA charges protecting n outbound bytes (software AES-GCM on
+	// the bounce path, per-TLP IDE latency on TEE-IO paths, no-op when
+	// off).
 	EncryptA(a *sim.Actor, n int64, step func(any), state any)
+	// DecryptA charges unprotecting n inbound bytes.
 	DecryptA(a *sim.Actor, n int64, step func(any), state any)
+	// BounceAcquireA reserves n bytes of SWIOTLB bounce space, waiting
+	// while the pool is exhausted.
 	BounceAcquireA(a *sim.Actor, n int64, step func(any), state any)
+	// BounceRelease returns n bytes to the bounce pool.
+	BounceRelease(n int64)
+	// HostMemcpyA charges a CPU staging copy of n bytes.
 	HostMemcpyA(a *sim.Actor, n int64, step func(any), state any)
+	// DMAA moves n bytes over the full-duplex link in direction d.
 	DMAA(a *sim.Actor, d Direction, n int64, step func(any), state any)
+	// BridgeDMAA moves n bytes through the serialized encrypted CPU–GPU
+	// bridge: one resource spanning both directions, derated bandwidth,
+	// hardware IDE latency per transaction.
 	BridgeDMAA(a *sim.Actor, d Direction, n int64, step func(any), state any)
 }
 
 // Mode is one protection model. Predicates steer the scattered cost sites
-// (launch, alloc/free, MMIO); Transfer and Migrate own the copy-path and
+// (launch, alloc/free, MMIO); TransferA and MigrateA own the copy-path and
 // page-fault transforms outright.
 type Mode interface {
 	// Name is the canonical registry name ("off", "tdx-h100", ...).
@@ -131,26 +123,14 @@ type Mode interface {
 	// reports whether the transfer must be labeled managed in traces
 	// (CC demotes "pinned" copies to encrypted paging — Observation 1).
 	Transfer(port Port, p *sim.Proc, dir Direction, bytes, chunk int64, pinned bool) (managed bool)
-	// Migrate runs one UVM page-move batch (fault service and hypercalls
-	// are charged by the caller; Migrate owns staging, crypto, and DMA).
-	Migrate(port Port, p *sim.Proc, dir Direction, bytes int64)
 	// TransferA is the continuation form of Transfer: the chain runs under
 	// a and ends in step(state); the managed flag is policy, not timing, so
 	// it is returned synchronously before the chain completes.
 	TransferA(port Port, a *sim.Actor, dir Direction, bytes, chunk int64, pinned bool, step func(any), state any) (managed bool)
-	// MigrateA is the continuation form of Migrate.
+	// MigrateA runs one UVM page-move batch under a, ending in
+	// step(state) (fault service and hypercalls are charged by the caller;
+	// MigrateA owns staging, crypto, and DMA).
 	MigrateA(port Port, a *sim.Actor, dir Direction, bytes int64, step func(any), state any)
-}
-
-// chunks calls fn once per DMA transaction of at most chunk bytes.
-func chunks(bytes, chunk int64, fn func(n int64)) {
-	for off := int64(0); off < bytes; off += chunk {
-		n := chunk
-		if bytes-off < n {
-			n = bytes - off
-		}
-		fn(n)
-	}
 }
 
 // Frames recycles the frames of copy and page-move chains, so a steady
@@ -160,9 +140,9 @@ func chunks(bytes, chunk int64, fn func(n int64)) {
 type Frames struct{ pool sim.FramePool[chunkFrame] }
 
 // chunkFrame drives one continuation-passing copy or page-move chain. Each
-// Transfer/Migrate call takes one from the port's Frames and chunkNext
+// TransferA/MigrateA call takes one from the port's Frames and chunkNext
 // returns it when the chain completes. The `one` hook runs a single chunk
-// of f.n bytes and must end in chunkNext; a single-shot chain (Migrate)
+// of f.n bytes and must end in chunkNext; a single-shot chain (MigrateA)
 // starts with off == bytes so chunkNext completes after the one chunk
 // already in flight.
 type chunkFrame struct {
@@ -211,38 +191,21 @@ func transferAwait(m Mode, port Port, p *sim.Proc, dir Direction, bytes, chunk i
 	return managed
 }
 
-// migrateAwait adapts a mode's MigrateA chain to the blocking Migrate contract.
-func migrateAwait(m Mode, port Port, p *sim.Proc, dir Direction, bytes int64) {
-	p.Await(func(a *sim.Actor, step func(any), state any) {
-		m.MigrateA(port, a, dir, bytes, step, state)
-	})
-}
+// Whole-chain span names, indexed by Direction.
+var (
+	transferSpan = [2]string{H2D: "transfer-h2d", D2H: "transfer-d2h"}
+	migrateSpan  = [2]string{H2D: "migrate-h2d", D2H: "migrate-d2h"}
+)
 
-// beginTransfer opens the whole-transfer span on the shared "ccmode"
-// track; the zero Span comes back (one nil check) when tracing is off.
-func beginTransfer(port Port, mode string, dir Direction, bytes int64) obs.Span {
+// beginChain opens a whole-transfer or whole-page-move span on the shared
+// "ccmode" track; the zero Span comes back (one nil check) when tracing is
+// off.
+func beginChain(port Port, names [2]string, mode string, dir Direction, bytes int64) obs.Span {
 	o := port.Observer()
 	if o == nil {
 		return obs.Span{}
 	}
-	name := "transfer-h2d"
-	if dir == D2H {
-		name = "transfer-d2h"
-	}
-	return o.Track("ccmode").Begin(name).Mode(mode).Bytes(bytes)
-}
-
-// beginMigrate opens the whole-page-move span on the "ccmode" track.
-func beginMigrate(port Port, mode string, dir Direction, bytes int64) obs.Span {
-	o := port.Observer()
-	if o == nil {
-		return obs.Span{}
-	}
-	name := "migrate-h2d"
-	if dir == D2H {
-		name = "migrate-d2h"
-	}
-	return o.Track("ccmode").Begin(name).Mode(mode).Bytes(bytes)
+	return o.Track("ccmode").Begin(names[dir]).Mode(mode).Bytes(bytes)
 }
 
 // directChunk is the unencrypted-by-software copy path shared by Off and

@@ -102,18 +102,10 @@ func newOpPort(eng *sim.Engine) *opPort {
 	return pt
 }
 
-func (pt *opPort) Engine() *sim.Engine                   { return pt.eng }
-func (pt *opPort) Observer() *obs.Observer               { return nil }
-func (pt *opPort) Frames() *Frames                       { return &pt.frames }
-func (pt *opPort) Encrypt(p *sim.Proc, n int64)          { pt.rec("enc"); p.Sleep(time.Duration(n)) }
-func (pt *opPort) Decrypt(p *sim.Proc, n int64)          { pt.rec("dec"); p.Sleep(time.Duration(n)) }
-func (pt *opPort) BounceAcquire(p *sim.Proc, n int64)    { pt.rec("acq") }
-func (pt *opPort) BounceRelease(n int64)                 { pt.rec("rel") }
-func (pt *opPort) HostMemcpy(p *sim.Proc, n int64)       { pt.rec("host") }
-func (pt *opPort) DMA(p *sim.Proc, d Direction, n int64) { pt.rec("dma-" + d.String()) }
-func (pt *opPort) BridgeDMA(p *sim.Proc, d Direction, n int64) {
-	pt.rec("bridge-" + d.String())
-}
+func (pt *opPort) Engine() *sim.Engine     { return pt.eng }
+func (pt *opPort) Observer() *obs.Observer { return nil }
+func (pt *opPort) Frames() *Frames         { return &pt.frames }
+func (pt *opPort) BounceRelease(n int64)   { pt.rec("rel") }
 
 func (pt *opPort) EncryptA(a *sim.Actor, n int64, step func(any), state any) {
 	pt.rec("enc")
@@ -176,6 +168,15 @@ func TestTransferSequences(t *testing.T) {
 		t.Errorf("TDXH100 pageable D2H: %q", join(ops))
 	}
 
+	ops, managed = run(t, TEEIODirect{}, H2D, 2, 1, true)
+	if join(ops) != "dma-H2D dma-H2D" || managed {
+		t.Errorf("TEEIODirect pinned H2D: %q managed=%v", join(ops), managed)
+	}
+	ops, _ = run(t, TEEIODirect{}, D2H, 2, 1, false)
+	if join(ops) != "host dma-D2H host dma-D2H" {
+		t.Errorf("TEEIODirect pageable D2H: %q", join(ops))
+	}
+
 	ops, managed = run(t, TEEIOBridge{}, H2D, 2, 1, false)
 	if join(ops) != "host bridge-H2D host bridge-H2D" || managed {
 		t.Errorf("TEEIOBridge pageable H2D: %q managed=%v", join(ops), managed)
@@ -183,6 +184,42 @@ func TestTransferSequences(t *testing.T) {
 	ops, _ = run(t, TEEIOBridge{}, D2H, 1, 1, true)
 	if join(ops) != "bridge-D2H" {
 		t.Errorf("TEEIOBridge pinned D2H: %q", join(ops))
+	}
+}
+
+// TestMigrateSequences pins the operation order of each base mode's
+// single-shot page move in both directions, and checks that the pipelined
+// decorator hands page moves to the wrapped mode unchanged.
+func TestMigrateSequences(t *testing.T) {
+	migrate := func(m Mode, dir Direction) string {
+		eng := sim.NewEngine()
+		pt := newOpPort(eng)
+		eng.Spawn("migrate", func(p *sim.Proc) {
+			p.Await(func(a *sim.Actor, step func(any), state any) {
+				m.MigrateA(pt, a, dir, 4, step, state)
+			})
+		})
+		eng.Run()
+		return strings.Join(pt.ops, " ")
+	}
+	want := []struct {
+		m        Mode
+		h2d, d2h string
+	}{
+		{Off{}, "dma-H2D", "dma-D2H"},
+		{TDXH100{}, "acq enc dma-H2D rel", "acq dma-D2H dec rel"},
+		{TEEIODirect{}, "enc dma-H2D", "dma-D2H dec"},
+		{TEEIOBridge{}, "bridge-H2D", "bridge-D2H"},
+	}
+	for _, w := range want {
+		for _, m := range []Mode{w.m, Pipelined{Inner: w.m}} {
+			if got := migrate(m, H2D); got != w.h2d {
+				t.Errorf("%s H2D: %q, want %q", m.Name(), got, w.h2d)
+			}
+			if got := migrate(m, D2H); got != w.d2h {
+				t.Errorf("%s D2H: %q, want %q", m.Name(), got, w.d2h)
+			}
+		}
 	}
 }
 

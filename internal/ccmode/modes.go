@@ -46,22 +46,17 @@ func (m Off) Transfer(port Port, p *sim.Proc, dir Direction, bytes, chunk int64,
 	return transferAwait(m, port, p, dir, bytes, chunk, pinned)
 }
 
-// Migrate implements Mode: UVM pages move in one plain DMA per batch.
-func (m Off) Migrate(port Port, p *sim.Proc, dir Direction, bytes int64) {
-	migrateAwait(m, port, p, dir, bytes)
-}
-
 // TransferA implements Mode.
 func (m Off) TransferA(port Port, a *sim.Actor, dir Direction, bytes, chunk int64, pinned bool, step func(any), state any) bool {
 	f := port.Frames().pool.Get()
 	*f = chunkFrame{port: port, a: a, dir: dir, bytes: bytes, chunk: chunk,
-		pinned: pinned, sp: beginTransfer(port, m.Name(), dir, bytes),
+		pinned: pinned, sp: beginChain(port, transferSpan, m.Name(), dir, bytes),
 		one: directChunk, step: step, state: state}
 	chunkNext(f)
 	return false
 }
 
-// MigrateA implements Mode.
+// MigrateA implements Mode: UVM pages move in one plain DMA per batch.
 func (Off) MigrateA(port Port, a *sim.Actor, dir Direction, bytes int64, step func(any), state any) {
 	port.DMAA(a, dir, bytes, step, state)
 }
@@ -110,27 +105,23 @@ func (m TDXH100) Transfer(port Port, p *sim.Proc, dir Direction, bytes, chunk in
 	return transferAwait(m, port, p, dir, bytes, chunk, pinned)
 }
 
-// Migrate implements Mode: encrypted paging — bounce staging plus software
-// crypto around the DMA, in the same order as the explicit copy path.
-func (m TDXH100) Migrate(port Port, p *sim.Proc, dir Direction, bytes int64) {
-	migrateAwait(m, port, p, dir, bytes)
-}
-
 // TransferA implements Mode.
 func (m TDXH100) TransferA(port Port, a *sim.Actor, dir Direction, bytes, chunk int64, pinned bool, step func(any), state any) bool {
 	f := port.Frames().pool.Get()
 	*f = chunkFrame{port: port, a: a, dir: dir, bytes: bytes, chunk: chunk,
-		sp:  beginTransfer(port, m.Name(), dir, bytes),
+		sp:  beginChain(port, transferSpan, m.Name(), dir, bytes),
 		one: tdxChunk, step: step, state: state}
 	chunkNext(f)
 	return pinned
 }
 
-// MigrateA implements Mode: one single-shot bounce+crypto+DMA chain.
+// MigrateA implements Mode: encrypted paging — one single-shot chain of
+// bounce staging plus software crypto around the DMA, in the same order as
+// the explicit copy path.
 func (m TDXH100) MigrateA(port Port, a *sim.Actor, dir Direction, bytes int64, step func(any), state any) {
 	f := port.Frames().pool.Get()
 	*f = chunkFrame{port: port, a: a, dir: dir, off: bytes, bytes: bytes,
-		n: bytes, sp: beginMigrate(port, m.Name(), dir, bytes),
+		n: bytes, sp: beginChain(port, migrateSpan, m.Name(), dir, bytes),
 		step: step, state: state}
 	tdxChunk(f)
 }
@@ -207,28 +198,23 @@ func (m TEEIODirect) Transfer(port Port, p *sim.Proc, dir Direction, bytes, chun
 	return transferAwait(m, port, p, dir, bytes, chunk, pinned)
 }
 
-// Migrate implements Mode: direct DMA plus the residual per-TLP IDE latency
-// (charged through the port's crypto primitives, which resolve to IDE for
-// non-software-crypto CC modes).
-func (m TEEIODirect) Migrate(port Port, p *sim.Proc, dir Direction, bytes int64) {
-	migrateAwait(m, port, p, dir, bytes)
-}
-
 // TransferA implements Mode.
 func (m TEEIODirect) TransferA(port Port, a *sim.Actor, dir Direction, bytes, chunk int64, pinned bool, step func(any), state any) bool {
 	f := port.Frames().pool.Get()
 	*f = chunkFrame{port: port, a: a, dir: dir, bytes: bytes, chunk: chunk,
-		pinned: pinned, sp: beginTransfer(port, m.Name(), dir, bytes),
+		pinned: pinned, sp: beginChain(port, transferSpan, m.Name(), dir, bytes),
 		one: directChunk, step: step, state: state}
 	chunkNext(f)
 	return false
 }
 
-// MigrateA implements Mode: one single-shot IDE-crypto+DMA chain.
+// MigrateA implements Mode: one single-shot chain of direct DMA plus the
+// residual per-TLP IDE latency (charged through the port's crypto
+// primitives, which resolve to IDE for non-software-crypto CC modes).
 func (m TEEIODirect) MigrateA(port Port, a *sim.Actor, dir Direction, bytes int64, step func(any), state any) {
 	f := port.Frames().pool.Get()
 	*f = chunkFrame{port: port, a: a, dir: dir, off: bytes, bytes: bytes,
-		n: bytes, sp: beginMigrate(port, m.Name(), dir, bytes),
+		n: bytes, sp: beginChain(port, migrateSpan, m.Name(), dir, bytes),
 		step: step, state: state}
 	if dir == H2D {
 		f.port.EncryptA(f.a, f.n, teeioEncrypted, f)
@@ -294,22 +280,17 @@ func (m TEEIOBridge) Transfer(port Port, p *sim.Proc, dir Direction, bytes, chun
 	return transferAwait(m, port, p, dir, bytes, chunk, pinned)
 }
 
-// Migrate implements Mode: UVM batches cross the same serialized bridge.
-func (m TEEIOBridge) Migrate(port Port, p *sim.Proc, dir Direction, bytes int64) {
-	migrateAwait(m, port, p, dir, bytes)
-}
-
 // TransferA implements Mode.
 func (m TEEIOBridge) TransferA(port Port, a *sim.Actor, dir Direction, bytes, chunk int64, pinned bool, step func(any), state any) bool {
 	f := port.Frames().pool.Get()
 	*f = chunkFrame{port: port, a: a, dir: dir, bytes: bytes, chunk: chunk,
-		pinned: pinned, sp: beginTransfer(port, m.Name(), dir, bytes),
+		pinned: pinned, sp: beginChain(port, transferSpan, m.Name(), dir, bytes),
 		one: bridgeChunk, step: step, state: state}
 	chunkNext(f)
 	return false
 }
 
-// MigrateA implements Mode.
+// MigrateA implements Mode: UVM batches cross the same serialized bridge.
 func (TEEIOBridge) MigrateA(port Port, a *sim.Actor, dir Direction, bytes int64, step func(any), state any) {
 	port.BridgeDMAA(a, dir, bytes, step, state)
 }

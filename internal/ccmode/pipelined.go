@@ -56,12 +56,8 @@ func (m Pipelined) FaultBatch(base, cc int) int { return m.Inner.FaultBatch(base
 // FaultHypercalls implements Mode.
 func (m Pipelined) FaultHypercalls(configured int) int { return m.Inner.FaultHypercalls(configured) }
 
-// Migrate implements Mode: single-batch page moves have nothing to overlap.
-func (m Pipelined) Migrate(port Port, p *sim.Proc, dir Direction, bytes int64) {
-	m.Inner.Migrate(port, p, dir, bytes)
-}
-
-// MigrateA implements Mode.
+// MigrateA implements Mode: single-batch page moves have nothing to
+// overlap.
 func (m Pipelined) MigrateA(port Port, a *sim.Actor, dir Direction, bytes int64, step func(any), state any) {
 	m.Inner.MigrateA(port, a, dir, bytes, step, state)
 }
@@ -114,8 +110,7 @@ func (m Pipelined) TransferA(port Port, a *sim.Actor, dir Direction, bytes, chun
 	if !m.Inner.SoftwareCryptoPath() {
 		return m.Inner.TransferA(port, a, dir, bytes, chunk, pinned, step, state)
 	}
-	nChunks := 0
-	chunks(bytes, chunk, func(int64) { nChunks++ })
+	nChunks := int((bytes + chunk - 1) / chunk)
 	eng := port.Engine()
 	q := sim.NewQueue[int64](eng).SetLabel("ccmode-pipelined")
 
@@ -128,7 +123,7 @@ func (m Pipelined) TransferA(port Port, a *sim.Actor, dir Direction, bytes, chun
 			pipeDrainNext(cf)
 		})
 		f := &pipeFrame{port: port, a: a, dir: dir, bytes: bytes, chunk: chunk,
-			q: q, done: done, sp: beginTransfer(port, m.Name(), dir, bytes),
+			q: q, done: done, sp: beginChain(port, transferSpan, m.Name(), dir, bytes),
 			step: step, state: state}
 		pipeFillNext(f)
 		return pinned
@@ -141,7 +136,7 @@ func (m Pipelined) TransferA(port Port, a *sim.Actor, dir Direction, bytes, chun
 		pipeProduceNext(cf)
 	})
 	f := &pipeFrame{port: port, a: a, dir: dir, nChunks: nChunks, q: q,
-		sp:   beginTransfer(port, m.Name(), dir, bytes),
+		sp:   beginChain(port, transferSpan, m.Name(), dir, bytes),
 		step: step, state: state}
 	pipeConsumeNext(f)
 	return pinned

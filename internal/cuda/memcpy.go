@@ -304,7 +304,6 @@ func (c *Context) MemcpyAsync(dst, src *Buffer, bytes int64, s *Stream) {
 		c.p.Sleep(c.rt.params.AsyncCopySW)
 		done := s.ch.SubmitCopy(trace.KindMemcpyD2D, pcie.H2D, 0, false)
 		s.track(done)
-		c.rt.dev.TransferDD(c.p, 0) // no-op keeps the API symmetric
 		return
 	}
 	c.p.Sleep(c.rt.params.AsyncCopySW)

@@ -2,10 +2,10 @@
 // paper's evaluation (Figs. 4-14) plus a summary of Observations 1-9. Each
 // generator runs the relevant experiment on the simulator and returns a
 // printable Table; the bench harness at the repository root exposes one
-// testing.B benchmark per figure, and cmd/hccbench renders them from the
+// testing.B benchmark per figure, and cmd/hccreport renders them from the
 // command line. Generation is routed through the internal/batch worker pool,
-// so regenerating many figures at once (GenerateAll, cmd/hccreport) fans out
-// across CPU cores.
+// so regenerating many figures at once (GenerateAll, a full hccreport run)
+// fans out across CPU cores.
 package figures
 
 import "hccsim/internal/tab"

@@ -426,7 +426,7 @@ func (d *Device) TransferHD(p *sim.Proc, dir pcie.Direction, bytes int64, pinned
 	if bytes <= 0 {
 		return false
 	}
-	return d.mode.Transfer(d.port, p, tdx.CCDirection(dir), bytes, d.params.ChunkBytes, pinned)
+	return d.mode.Transfer(d.port, p, dir, bytes, d.params.ChunkBytes, pinned)
 }
 
 // TransferHDA is the continuation form of TransferHD; the managed flag is
@@ -436,19 +436,11 @@ func (d *Device) TransferHDA(a *sim.Actor, dir pcie.Direction, bytes int64, pinn
 		step(state)
 		return false
 	}
-	return d.mode.TransferA(d.port, a, tdx.CCDirection(dir), bytes, d.params.ChunkBytes, pinned, step, state)
+	return d.mode.TransferA(d.port, a, dir, bytes, d.params.ChunkBytes, pinned, step, state)
 }
 
-// TransferDD is a device-to-device blit through L2/HBM; CC does not touch it
-// (HBM is inside the trust boundary).
-func (d *Device) TransferDD(p *sim.Proc, bytes int64) {
-	if bytes <= 0 {
-		return
-	}
-	p.Sleep(2*time.Microsecond + units.StreamDuration(bytes, d.params.BlitGBps))
-}
-
-// TransferDDA is the continuation form of TransferDD.
+// TransferDDA is a device-to-device blit through L2/HBM, then runs
+// step(state); CC does not touch it (HBM is inside the trust boundary).
 func (d *Device) TransferDDA(a *sim.Actor, bytes int64, step func(any), state any) {
 	if bytes <= 0 {
 		step(state)

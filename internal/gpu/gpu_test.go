@@ -216,8 +216,16 @@ func TestTransferDDUnaffectedByCC(t *testing.T) {
 	const n = 1 << 30
 	a := newRig(false)
 	b := newRig(true)
-	endA := a.run(func(p *sim.Proc) { a.dev.TransferDD(p, n) })
-	endB := b.run(func(p *sim.Proc) { b.dev.TransferDD(p, n) })
+	blit := func(dev *Device) func(p *sim.Proc) {
+		return func(p *sim.Proc) {
+			p.Await(func(a *sim.Actor, step func(any), state any) { dev.TransferDDA(a, n, step, state) })
+		}
+	}
+	endA := a.run(blit(a.dev))
+	endB := b.run(blit(b.dev))
+	if endA == 0 {
+		t.Fatal("D2D blit took no time")
+	}
 	if endA != endB {
 		t.Fatalf("D2D differs under CC: %v vs %v", endA, endB)
 	}

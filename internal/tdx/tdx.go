@@ -247,13 +247,8 @@ func pages(bytes int64) int64 {
 	return (bytes + PageBytes - 1) / PageBytes
 }
 
-// Hypercall charges one tdx_hypercall round trip (TD only).
-func (pl *Platform) Hypercall(p *sim.Proc) {
-	pl.stats.Hypercalls++
-	p.Sleep(pl.params.Hypercall)
-}
-
-// HypercallA is the continuation form of Hypercall.
+// HypercallA charges one tdx_hypercall round trip (TD only), then runs
+// step(state).
 func (pl *Platform) HypercallA(a *sim.Actor, step func(any), state any) {
 	pl.stats.Hypercalls++
 	a.Sleep(pl.params.Hypercall, step, state)
@@ -261,28 +256,25 @@ func (pl *Platform) HypercallA(a *sim.Actor, step func(any), state any) {
 
 // MMIO charges one access to the passed-through GPU's BAR. In a legacy VM
 // this is a direct mapped access; in a TD it raises #VE and is forwarded to
-// the host via tdx_hypercall.
-func (pl *Platform) MMIO(p *sim.Proc) {
-	pl.stats.MMIOs++
-	if pl.mode.MMIOTraps() {
-		pl.stats.Hypercalls++
-		p.Sleep(pl.params.Hypercall)
-		return
-	}
-	pl.stats.VMExits++ // accounted as a (cheap) direct access, no real exit
-	p.Sleep(pl.params.MMIODirect)
-}
+// the host via tdx_hypercall. Unlike the other operations that have a
+// continuation form, MMIO is not an Await bridge over MMIOA: the cuda
+// launch path relies on its inline p.Sleep.
+func (pl *Platform) MMIO(p *sim.Proc) { p.Sleep(pl.mmio()) }
 
 // MMIOA is the continuation form of MMIO.
 func (pl *Platform) MMIOA(a *sim.Actor, step func(any), state any) {
+	a.Sleep(pl.mmio(), step, state)
+}
+
+// mmio counts one BAR access and returns its latency.
+func (pl *Platform) mmio() time.Duration {
 	pl.stats.MMIOs++
 	if pl.mode.MMIOTraps() {
 		pl.stats.Hypercalls++
-		a.Sleep(pl.params.Hypercall, step, state)
-		return
+		return pl.params.Hypercall
 	}
-	pl.stats.VMExits++
-	a.Sleep(pl.params.MMIODirect, step, state)
+	pl.stats.VMExits++ // accounted as a (cheap) direct access, no real exit
+	return pl.params.MMIODirect
 }
 
 // MMIOCost returns the per-access MMIO latency without charging it, for
@@ -328,17 +320,8 @@ func (pl *Platform) ScrubPrivate(p *sim.Proc, bytes int64) {
 	p.Sleep(time.Duration(n) * pl.params.ScrubPerPage)
 }
 
-// HostMemcpy charges a CPU staging copy of n bytes (pageable-transfer
-// staging, bounce-buffer fill/drain).
-func (pl *Platform) HostMemcpy(p *sim.Proc, n int64) {
-	if n <= 0 {
-		return
-	}
-	pl.stats.BytesStaged += n
-	p.Sleep(units.StreamDuration(n, pl.params.HostMemcpyGBps))
-}
-
-// HostMemcpyA is the continuation form of HostMemcpy.
+// HostMemcpyA charges a CPU staging copy of n bytes (pageable-transfer
+// staging, bounce-buffer fill/drain), then runs step(state).
 func (pl *Platform) HostMemcpyA(a *sim.Actor, n int64, step func(any), state any) {
 	if n <= 0 {
 		step(state)
@@ -435,22 +418,17 @@ func (pl *Platform) BounceInUse() int64 { return pl.bounceUsed }
 
 // Encrypt charges software AES-GCM encryption of n bytes on the (single)
 // crypto worker. No-op in a legacy VM.
-func (pl *Platform) Encrypt(p *sim.Proc, n int64) {
-	if !pl.mode.CC() || n <= 0 {
-		return
-	}
-	p.Await(func(a *sim.Actor, step func(any), state any) {
-		pl.EncryptA(a, n, step, state)
-	})
-}
+func (pl *Platform) Encrypt(p *sim.Proc, n int64) { pl.crypt(p, n, false) }
 
 // Decrypt charges software AES-GCM decryption of n bytes. No-op without CC.
-func (pl *Platform) Decrypt(p *sim.Proc, n int64) {
+func (pl *Platform) Decrypt(p *sim.Proc, n int64) { pl.crypt(p, n, true) }
+
+func (pl *Platform) crypt(p *sim.Proc, n int64, decrypt bool) {
 	if !pl.mode.CC() || n <= 0 {
 		return
 	}
 	p.Await(func(a *sim.Actor, step func(any), state any) {
-		pl.DecryptA(a, n, step, state)
+		pl.cryptA(a, n, decrypt, step, state)
 	})
 }
 
