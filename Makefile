@@ -1,10 +1,11 @@
 # Developer/CI entry points. `make check` is the gate: formatting, vet, the
-# project's own static analyzers (hcclint), and the full test suite under
-# the race detector (the batch worker pool is the main concurrency surface).
+# project's own static analyzers (hcclint), the full test suite under the
+# race detector (the batch worker pool is the main concurrency surface), and
+# vet and tests of the hccperf benchmark module.
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check lint lint-fix golden fuzz check bench report sweep-demo clean
+.PHONY: all build test race vet fmt-check lint lint-fix golden fuzz perf-check check bench report sweep-demo clean
 
 all: check
 
@@ -68,7 +69,13 @@ fuzz:
 		$(GO) test -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime $(FUZZTIME) "$${t%%:*}"; \
 	done
 
-check: fmt-check vet lint golden race
+# hccperf is its own module, so ./... never reaches it; this catches an obs
+# or cuda API change that breaks the benchmark.
+perf-check:
+	$(GO) -C hccperf vet .
+	$(GO) -C hccperf test .
+
+check: fmt-check vet lint golden race perf-check
 
 # One pass over the per-figure testing.B benchmarks. The performance
 # benchmark with spreads and per-layer breakdown is hccperf:

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -109,7 +110,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return fail(err)
 			}
 			if c.Observer != nil {
-				if err := writeTrace(*traceOut, c.Observer); err != nil {
+				if err := os.WriteFile(*traceOut, c.Observer.ChromeTrace(), 0o666); err != nil {
 					return fail(err)
 				}
 				fmt.Fprintf(stderr, "chrome trace of %s @ %gqps written to %s (load it at https://ui.perfetto.dev)\n",
@@ -129,16 +130,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	w := stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return fail(err)
-		}
-		defer f.Close()
-		w = f
+	var buf bytes.Buffer
+	if err := emit(&buf, *format, modeNames, reports, caps); err != nil {
+		return fail(err)
 	}
-	if err := emit(w, *format, modeNames, reports, caps); err != nil {
+	if *out == "-" {
+		_, err = stdout.Write(buf.Bytes())
+	} else {
+		err = os.WriteFile(*out, buf.Bytes(), 0o666)
+	}
+	if err != nil {
 		return fail(err)
 	}
 	return 0
@@ -240,18 +241,6 @@ func parseRates(s string) ([]float64, error) {
 		out[i] = v
 	}
 	return out, nil
-}
-
-func writeTrace(path string, o *hccsim.Observer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := o.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func ms(d time.Duration) float64   { return d.Seconds() * 1e3 }

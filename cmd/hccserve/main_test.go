@@ -66,6 +66,8 @@ func TestExitCodes(t *testing.T) {
 		{"bad platform", []string{"-platform", "a100"}, 1, "invalid -platform"},
 		{"bad format", []string{"-modes", "off", "-rates", "1", "-requests", "4", "-capacity=false", "-format", "xml"},
 			1, `unknown format "xml"`},
+		{"unwritable output", []string{"-modes", "off", "-rates", "1", "-requests", "4", "-capacity=false",
+			"-o", filepath.Join(t.TempDir(), "no", "such", "dir.txt")}, 1, "no such file or directory"},
 		{"unknown flag", []string{"-qps", "1"}, 2, "flag provided but not defined"},
 	}
 	for _, c := range cases {

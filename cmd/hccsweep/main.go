@@ -24,9 +24,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -57,46 +59,64 @@ func (p *paramFlag) Set(s string) error {
 }
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command; main only binds it to the process. It returns
+// the exit status (0 success, 1 a bad value, failed job or failed write, 2
+// a flag syntax error or nothing to run) so tests can drive it in-process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hccsweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var params paramFlag
-	apps := flag.String("workloads", "", "benchmark applications: comma list or 'all'")
-	figs := flag.String("figures", "", "figure ids: comma list or 'all'")
-	cnns := flag.String("cnn", "", "CNN cells model:batch:precision, comma list (e.g. resnet50:64:fp32)")
-	llms := flag.String("llm", "", "LLM cells backend:quant:batch, comma list (e.g. vllm:awq:8)")
-	serves := flag.String("serve", "", "serving-traffic cells backend:quant:rateQPS, comma list (e.g. vllm:bf16:1.4); sweep rates with -param serve.rate=...")
-	uvm := flag.Bool("uvm", false, "also sweep the UVM variant of UVM-capable workloads")
-	modes := flag.String("modes", "off,tdx-h100", "comma list of protection-mode names (off, tdx-h100, tee-io-direct, tee-io-bridge, optionally +pipelined)")
-	platforms := flag.String("platforms", "", "comma list of hardware-platform names (see hw.platform axis); sweeps every job across each platform")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool size (1 = serial)")
-	cacheDir := flag.String("cache", "", "on-disk result cache directory (empty = in-memory only)")
-	format := flag.String("format", "table", "output format: table, csv or json")
-	out := flag.String("o", "-", "output file ('-' for stdout)")
-	listParams := flag.Bool("list-params", false, "list sweepable config parameters and exit")
-	flag.Var(&params, "param", "grid axis Name=v1,v2,... (repeatable; cross product)")
+	apps := fs.String("workloads", "", "benchmark applications: comma list or 'all'")
+	figs := fs.String("figures", "", "figure ids: comma list or 'all'")
+	cnns := fs.String("cnn", "", "CNN cells model:batch:precision, comma list (e.g. resnet50:64:fp32)")
+	llms := fs.String("llm", "", "LLM cells backend:quant:batch, comma list (e.g. vllm:awq:8)")
+	serves := fs.String("serve", "", "serving-traffic cells backend:quant:rateQPS, comma list (e.g. vllm:bf16:1.4); sweep rates with -param serve.rate=...")
+	uvm := fs.Bool("uvm", false, "also sweep the UVM variant of UVM-capable workloads")
+	modes := fs.String("modes", "off,tdx-h100", "comma list of protection-mode names (off, tdx-h100, tee-io-direct, tee-io-bridge, optionally +pipelined)")
+	platforms := fs.String("platforms", "", "comma list of hardware-platform names (see hw.platform axis); sweeps every job across each platform")
+	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool size (1 = serial)")
+	cacheDir := fs.String("cache", "", "on-disk result cache directory (empty = in-memory only)")
+	format := fs.String("format", "table", "output format: table, csv or json")
+	out := fs.String("o", "-", "output file ('-' for stdout)")
+	listParams := fs.Bool("list-params", false, "list sweepable config parameters and exit")
+	fs.Var(&params, "param", "grid axis Name=v1,v2,... (repeatable; cross product)")
 	var prof bench.ProfileConfig
-	flag.StringVar(&prof.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
-	flag.StringVar(&prof.MemProfile, "memprofile", "", "write a pprof heap profile to this file")
-	flag.StringVar(&prof.Trace, "trace", "", "write a runtime execution trace to this file")
-	flag.Parse()
+	fs.StringVar(&prof.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
+	fs.StringVar(&prof.MemProfile, "memprofile", "", "write a pprof heap profile to this file")
+	fs.StringVar(&prof.Trace, "trace", "", "write a runtime execution trace to this file")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
 
 	if *listParams {
-		fmt.Println("sweepable parameters (as -param Name=v1,v2,...):")
+		fmt.Fprintln(stdout, "sweepable parameters (as -param Name=v1,v2,...):")
 		for _, n := range batch.OverrideNames() {
-			fmt.Println("  " + n)
+			fmt.Fprintln(stdout, "  "+n)
 		}
-		return
+		return 0
 	}
 
 	axes, err := batch.ParseAxes(params.specs)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	platformNames, err := parsePlatforms(*platforms, axes)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	jobs, err := buildJobs(*apps, *cnns, *llms, *serves, *uvm, *modes, platformNames, axes)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if *figs != "" {
 		ids := strings.Split(*figs, ",")
@@ -106,51 +126,52 @@ func main() {
 		jobs = append(jobs, figures.Jobs(ids...)...)
 	}
 	if len(jobs) == 0 {
-		fmt.Fprintln(os.Stderr, "hccsweep: nothing to run (use -workloads, -figures, -cnn, -llm or -serve)")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "hccsweep: nothing to run (use -workloads, -figures, -cnn, -llm or -serve)")
+		fs.Usage()
+		return 2
 	}
 	for _, j := range jobs {
 		if err := j.Validate(); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 
 	stopProf, err := prof.Start()
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	start := time.Now()
 	results, cache, err := batch.Run(jobs, *parallel, *cacheDir)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	elapsed := time.Since(start).Round(time.Millisecond)
 	if err := stopProf(); err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
-	w := os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = f
+	var buf bytes.Buffer
+	if err := emit(&buf, *format, results); err != nil {
+		return fail(err)
 	}
-	if err := emit(w, *format, results); err != nil {
-		fatal(err)
+	if *out == "-" {
+		_, err = stdout.Write(buf.Bytes())
+	} else {
+		err = os.WriteFile(*out, buf.Bytes(), 0o666)
+	}
+	if err != nil {
+		return fail(err)
 	}
 
 	hits, _, stores := cache.Stats()
-	fmt.Fprintf(os.Stderr, "hccsweep: %d jobs in %s (%d workers): %d cached, %d simulated\n",
+	fmt.Fprintf(stderr, "hccsweep: %d jobs in %s (%d workers): %d cached, %d simulated\n",
 		len(results), elapsed, *parallel, hits, stores)
 	for _, r := range results {
 		if r.Err != nil {
-			os.Exit(1)
+			return 1
 		}
 	}
+	return 0
 }
 
 // parsePlatforms validates the -platforms flag up front — every name must
@@ -319,7 +340,7 @@ func parseLLMCell(cell string) (string, int, string, error) {
 // emit renders the results in the requested format: the sweep table (plus
 // the protected/off ratio table when off and a protected mode are both
 // present) as text or CSV, or the full per-job payloads as JSON.
-func emit(w *os.File, format string, results []batch.Result) error {
+func emit(w io.Writer, format string, results []batch.Result) error {
 	switch format {
 	case "table":
 		t := batch.SweepTable(results)
@@ -354,9 +375,4 @@ func emit(w *os.File, format string, results []batch.Result) error {
 		return enc.Encode(outs)
 	}
 	return fmt.Errorf("hccsweep: unknown format %q (want table, csv or json)", format)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
 }

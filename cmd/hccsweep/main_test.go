@@ -1,12 +1,97 @@
 package main
 
 import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"hccsim/internal/ccmode"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden outputs")
+
+func runSweep(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	var out, errb bytes.Buffer
+	code = run(args, &out, &errb)
+	return code, out.String(), errb.String()
+}
+
+// grid is a small serial sweep: two workloads, two modes and two PCIe
+// bandwidths, enough to fill the sweep table and the ratio table.
+var grid = []string{"-workloads", "2mm,gesummv", "-modes", "off,tdx-h100", "-param", "PCIeGBps=8,16", "-parallel", "1"}
+
+// TestGoldenOutput pins the CLI's stdout byte for byte: the grid in every
+// output format, and the parameter list. Only stdout is compared; the
+// summary line on stderr carries the wall time.
+func TestGoldenOutput(t *testing.T) {
+	cases := []struct {
+		golden string
+		args   []string
+	}{
+		{"grid.table", append(grid, "-format", "table")},
+		{"grid.csv", append(grid, "-format", "csv")},
+		{"grid.json", append(grid, "-format", "json")},
+		{"list-params", []string{"-list-params"}},
+	}
+	for _, c := range cases {
+		t.Run(c.golden, func(t *testing.T) {
+			code, got, stderr := runSweep(t, c.args...)
+			if code != 0 {
+				t.Fatalf("exit %d, want 0\nstderr: %s", code, stderr)
+			}
+			path := filepath.Join("testdata", c.golden+".golden")
+			if *update {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Errorf("stdout differs from %s (rerun with -update after an intended change)\ngot:\n%s\nwant:\n%s",
+					path, got, want)
+			}
+		})
+	}
+}
+
+func TestExitCodes(t *testing.T) {
+	one := []string{"-workloads", "gesummv", "-modes", "off"}
+	cases := []struct {
+		name    string
+		args    []string
+		code    int
+		message string
+	}{
+		{"bad param", append(one, "-param", "NoSuchParam=1"), 1, `unknown config parameter "NoSuchParam"`},
+		{"legacy mode", []string{"-workloads", "gesummv", "-modes", "cc"}, 1, `unknown mode "cc"`},
+		{"unwritable output", append(one, "-o", filepath.Join(t.TempDir(), "no", "such", "dir.txt")), 1, "no such file or directory"},
+		{"nothing to run", []string{"-modes", "off"}, 2, "nothing to run"},
+		{"unknown flag", []string{"-bogus"}, 2, "flag provided but not defined: -bogus"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			code, stdout, stderr := runSweep(t, c.args...)
+			if code != c.code {
+				t.Fatalf("exit %d, want %d\nstderr: %s", code, c.code, stderr)
+			}
+			if !strings.Contains(stderr, c.message) {
+				t.Errorf("stderr %q does not mention %q", stderr, c.message)
+			}
+			if stdout != "" {
+				t.Errorf("a failed run wrote to stdout: %q", stdout)
+			}
+		})
+	}
+}
 
 func TestParseModes(t *testing.T) {
 	cases := []struct {

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -80,17 +81,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rt := res.Runtime
 
 	if *traceOut != "" {
-		out := stdout
-		if *traceOut != "-" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fmt.Fprintln(stderr, err)
-				return 1
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := o.WriteChromeTrace(out); err != nil {
+		if err := writeOut(*traceOut, o.ChromeTrace(), stdout); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
@@ -109,17 +100,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *jsonOut != "" {
-		out := stdout
-		if *jsonOut != "-" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				fmt.Fprintln(stderr, err)
-				return 1
-			}
-			defer f.Close()
-			out = f
+		var buf bytes.Buffer
+		if err := rt.Tracer().WriteJSON(&buf); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		if err := rt.Tracer().WriteJSON(out); err != nil {
+		if err := writeOut(*jsonOut, buf.Bytes(), stdout); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
@@ -178,6 +164,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "  uvm: fault batches %d  pages migrated %d  to-gpu %s  to-host %s  evictions %d\n",
 		us.FaultBatches, us.PagesMigrated, bytesStr(us.BytesToGPU), bytesStr(us.BytesToHost), us.Evictions)
 	return 0
+}
+
+// writeOut writes a rendered output to stdout for "-", or else whole to the
+// named file, so a failed write or close is an error and never leaves a
+// silently truncated file behind.
+func writeOut(path string, data []byte, stdout io.Writer) error {
+	if path == "-" {
+		_, err := stdout.Write(data)
+		return err
+	}
+	return os.WriteFile(path, data, 0o666)
 }
 
 func bytesStr(n int64) string {

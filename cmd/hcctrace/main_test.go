@@ -71,6 +71,7 @@ func TestExitCodes(t *testing.T) {
 		{"no uvm variant", []string{"-app", "2mm", "-uvm"}, 1, "2mm has no UVM variant"},
 		{"unknown mode", []string{"-mode", "cc"}, 1, `unknown mode "cc"`},
 		{"unwritable json", []string{"-app", "atax", "-json", filepath.Join(t.TempDir(), "no", "such", "dir.json")}, 1, "no such file or directory"},
+		{"unwritable trace", []string{"-app", "atax", "-trace", filepath.Join(t.TempDir(), "no", "such", "dir.json")}, 1, "no such file or directory"},
 		{"unknown flag", []string{"-bogus"}, 2, "flag provided but not defined: -bogus"},
 	}
 	for _, c := range cases {

@@ -41,15 +41,15 @@ var ErrUnknownValue = errors.New("hccsim: unknown value")
 // simulated its one run; System.Run panics with the same message.
 var ErrRunConsumed = errors.New("hccsim: System.Run called twice; a System simulates one run — build a fresh System (NewSystem) per run")
 
-// Observer is the simulated-time observability layer: a hierarchical span
-// tracer, a typed metrics registry, and deterministic exporters
-// (WriteChromeTrace for Perfetto, WriteSummary for text). Attach one to a
-// System with Observe, to a workload run with RunObserved, or to a serving
-// run via ServeConfig.Observer. A nil *Observer is valid everywhere and
-// records nothing.
+// Observer is the simulated-time observability layer: a flat log of spans
+// on named tracks, an ordered list of end-of-run metrics, and deterministic
+// exporters (WriteChromeTrace for Perfetto, WriteSummary for text). Attach
+// one to a System with Observe, to a workload run with RunObserved, or to a
+// serving run via ServeConfig.Observer. A nil *Observer is valid everywhere
+// and records nothing.
 type Observer = obs.Observer
 
-// MetricPoint is one exported metric of an Observer's registry.
+// MetricPoint is one end-of-run metric of an Observer.
 type MetricPoint = obs.MetricPoint
 
 // NewObserver returns an empty unbound observer, for runs that own their

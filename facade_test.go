@@ -28,7 +28,8 @@ var traceModes = []string{"off", "tdx-h100", "tee-io-direct", "tee-io-bridge", "
 
 // TestGoldenChromeTraces byte-compares the Chrome trace of one small
 // workload (gemm: one launch, two copies) per mode against a committed
-// golden, after checking three repeat runs export identically.
+// golden, after checking three repeat runs export identically and end
+// every span they begin.
 func TestGoldenChromeTraces(t *testing.T) {
 	for _, mode := range traceModes {
 		mode := mode
@@ -37,6 +38,9 @@ func TestGoldenChromeTraces(t *testing.T) {
 				o := NewObserver()
 				if _, err := RunObserved("gemm", Spec{Mode: mode}, o); err != nil {
 					t.Fatal(err)
+				}
+				if n := o.Open(); n != 0 {
+					t.Fatalf("%d spans still open after the run", n)
 				}
 				return o.ChromeTrace()
 			}

@@ -114,15 +114,15 @@ func (rt *Runtime) SetTracer(t *trace.Tracer) {
 func (rt *Runtime) Observer() *obs.Observer { return rt.obs }
 
 // PublishMetrics snapshots the counters of every layer into the observer's
-// metrics registry as end-of-run gauges. Safe to call repeatedly (gauges
-// overwrite) and a no-op without an observer.
+// end-of-run metrics. Safe to call repeatedly (values overwrite) and a
+// no-op without an observer.
 func (rt *Runtime) PublishMetrics() {
 	if rt.obs == nil {
 		return
 	}
 	reg := rt.obs.Metrics()
 	set := func(name, unit string, v int64) {
-		reg.MustGauge(name, unit).Set(float64(v))
+		reg.Set(name, unit, float64(v))
 	}
 	es := rt.eng.Stats()
 	set("sim.events_fired", "count", int64(es.Fired))

@@ -17,7 +17,8 @@ import (
 // explicit sort indices, sync spans appear in record order (the engine
 // clock is monotonic, so that is chronological), and async scopes follow
 // in first-use order. One "X" (complete) event per span carries its
-// duration and attrs; request-lifecycle phases export as "b"/"e" async
+// duration and attrs, and the viewer nests the spans of one track by time
+// containment; request-lifecycle phases export as "b"/"e" async
 // pairs keyed by (scope, request id) so overlapping instances render as
 // separate rows of one group.
 func (o *Observer) ChromeTrace() []byte {
@@ -30,7 +31,7 @@ func (o *Observer) ChromeTrace() []byte {
 		b = append(b, `{"ph":"M","pid":0,"tid":`...)
 		b = strconv.AppendInt(b, int64(tid), 10)
 		b = append(b, `,"name":"thread_name","args":{"name":`...)
-		b = strconv.AppendQuote(b, t.name)
+		b = strconv.AppendQuote(b, t)
 		b = append(b, "}}"...)
 		b = append(b, ",\n"...)
 		b = append(b, `{"ph":"M","pid":0,"tid":`...)
@@ -83,37 +84,18 @@ func (o *Observer) ChromeTrace() []byte {
 		b = appendAsync(b, a, "e", end, tid)
 	}
 	b = append(b, "\n],\n\"displayTimeUnit\":\"ms\",\n\"metrics\":[\n"...)
-	first := true
-	o.reg.Each(func(m MetricPoint) {
-		if !first {
+	for i, m := range o.reg.points {
+		if i > 0 {
 			b = append(b, ",\n"...)
 		}
-		first = false
 		b = append(b, `{"name":`...)
 		b = strconv.AppendQuote(b, m.Name)
-		b = append(b, `,"kind":`...)
-		b = strconv.AppendQuote(b, m.Kind.String())
-		b = append(b, `,"unit":`...)
+		b = append(b, `,"kind":"gauge","unit":`...)
 		b = strconv.AppendQuote(b, m.Unit)
-		switch m.Kind {
-		case KindGauge:
-			b = append(b, `,"value":`...)
-			b = strconv.AppendFloat(b, m.Value, 'g', -1, 64)
-		case KindHistogram:
-			b = append(b, `,"count":`...)
-			b = strconv.AppendInt(b, m.Count, 10)
-			b = append(b, `,"sum":`...)
-			b = strconv.AppendInt(b, m.Sum, 10)
-			b = append(b, `,"min":`...)
-			b = strconv.AppendInt(b, m.Min, 10)
-			b = append(b, `,"max":`...)
-			b = strconv.AppendInt(b, m.Max, 10)
-		default:
-			b = append(b, `,"value":`...)
-			b = strconv.AppendInt(b, m.Count, 10)
-		}
+		b = append(b, `,"value":`...)
+		b = strconv.AppendFloat(b, m.Value, 'g', -1, 64)
 		b = append(b, "}"...)
-	})
+	}
 	b = append(b, "\n]}\n"...)
 	return b
 }

@@ -1,7 +1,7 @@
-// Package obs is the simulator's observability layer: a hierarchical span
-// tracer stamped with simulated time, a typed metrics registry, and
-// deterministic exporters (Chrome trace-event JSON for Perfetto, and a
-// compact per-layer text summary).
+// Package obs is the simulator's observability layer: a flat log of spans
+// on named tracks stamped with simulated time, an ordered list of
+// end-of-run metric values, and deterministic exporters (Chrome
+// trace-event JSON for Perfetto, and a compact per-layer text summary).
 //
 // The layer is off by default. Every recording entry point is reached
 // through a value handle (Track, Span, AsyncSpan) whose embedded *Observer
@@ -11,7 +11,9 @@
 //
 // Spans are opened and closed at sim.Time boundaries, so an exported trace
 // shows simulated time, not wall time: byte-identical run over run, which
-// is what lets a golden trace test diff the export byte-for-byte.
+// is what lets a golden trace test diff the export byte-for-byte. The log
+// records no nesting: spans on one track may overlap freely, and Perfetto
+// nests them by time containment.
 package obs
 
 import (
@@ -24,39 +26,27 @@ import (
 // starts. A nil *Observer is valid everywhere and records nothing.
 type Observer struct {
 	eng    *sim.Engine
-	tracks []trackInfo
+	tracks []string
 	byName map[string]int32
 	spans  []span
 	asyncs []asyncSpan
-	reg    *Registry
-}
-
-// trackInfo is one timeline: a device, channel, actor, or layer resource.
-type trackInfo struct {
-	name string
-	// open is the stack of currently open span indices on this track;
-	// a Begin nests under the top of the stack.
-	open []int32
-	// busy and bytes accumulate closed-span totals for the summary.
-	busy  sim.Duration
-	bytes int64
+	reg    Registry
 }
 
 // span is one recorded interval on a track.
 type span struct {
-	name   string
-	track  int32
-	parent int32 // span index of the enclosing span, -1 at top level
-	start  sim.Time
-	end    sim.Time // -1 while open
-	bytes  int64    // payload size, 0 = unset
-	n      int64    // generic count (tokens, batch size), 0 = unset
-	req    int64    // request id, -1 = unset
-	mode   string   // protection mode, "" = unset
+	name  string
+	track int32
+	start sim.Time
+	end   sim.Time // -1 while open
+	bytes int64    // payload size, 0 = unset
+	n     int64    // generic count (tokens, batch size), 0 = unset
+	req   int64    // request id, -1 = unset
+	mode  string   // protection mode, "" = unset
 }
 
 // asyncSpan is one interval in an overlapping scope — per-request serving
-// lifecycle phases that cannot nest on a single timeline. Exported as
+// lifecycle phases that cannot share a single timeline. Exported as
 // Chrome async ("b"/"e") events keyed by (scope, id).
 type asyncSpan struct {
 	scope string
@@ -69,7 +59,7 @@ type asyncSpan struct {
 // New returns an empty observer. Bind it to an engine before any span is
 // opened; until then it only serves registration (Track, Metrics).
 func New() *Observer {
-	return &Observer{byName: make(map[string]int32), reg: NewRegistry()}
+	return &Observer{byName: make(map[string]int32)}
 }
 
 // Bind attaches the engine whose clock stamps span boundaries. The layer
@@ -83,13 +73,13 @@ func (o *Observer) Bind(eng *sim.Engine) {
 	o.eng = eng
 }
 
-// Metrics returns the observer's metrics registry. Nil-safe: a nil
-// observer returns a nil registry, on which registration is a no-op.
+// Metrics returns the observer's end-of-run metrics. Nil-safe: a nil
+// observer returns a nil registry, which ignores every Set.
 func (o *Observer) Metrics() *Registry {
 	if o == nil {
 		return nil
 	}
-	return o.reg
+	return &o.reg
 }
 
 // Track is a named timeline handle. The zero Track (from a nil Observer)
@@ -111,7 +101,7 @@ func (o *Observer) Track(name string) Track {
 		return Track{o: o, id: id}
 	}
 	id := int32(len(o.tracks))
-	o.tracks = append(o.tracks, trackInfo{name: name})
+	o.tracks = append(o.tracks, name)
 	o.byName[name] = id
 	return Track{o: o, id: id}
 }
@@ -123,26 +113,15 @@ type Span struct {
 	idx int32
 }
 
-// Begin opens a span on the track at the current simulated time, nested
-// under the track's innermost open span. Close it with End; attach
-// attributes with Bytes/Count/Request/Mode.
+// Begin opens a span on the track at the current simulated time. Close it
+// with End; attach attributes with Bytes/Count/Request/Mode.
 func (t Track) Begin(name string) Span {
 	if t.o == nil {
 		return Span{}
 	}
 	o := t.o
-	ti := &o.tracks[t.id]
-	parent := int32(-1)
-	if n := len(ti.open); n > 0 {
-		parent = ti.open[n-1]
-	}
-	idx := int32(len(o.spans))
-	o.spans = append(o.spans, span{
-		name: name, track: t.id, parent: parent,
-		start: o.eng.Now(), end: -1, req: -1,
-	})
-	ti.open = append(ti.open, idx)
-	return Span{o: o, idx: idx}
+	o.spans = append(o.spans, span{name: name, track: t.id, start: o.eng.Now(), end: -1, req: -1})
+	return Span{o: o, idx: int32(len(o.spans) - 1)}
 }
 
 // Bytes attaches the payload size.
@@ -180,23 +159,8 @@ func (sp Span) Mode(name string) Span {
 // End closes the span at the current simulated time. Ending the zero Span
 // is a no-op, so continuation chains end their frame's span unconditionally.
 func (sp Span) End() {
-	if sp.o == nil {
-		return
-	}
-	o := sp.o
-	rec := &o.spans[sp.idx]
-	rec.end = o.eng.Now()
-	ti := &o.tracks[rec.track]
-	ti.busy += sim.Duration(rec.end - rec.start)
-	ti.bytes += rec.bytes
-	// Pop this span from the track's open stack. Chains close in LIFO
-	// order in steady state, so the top-of-stack check is the fast path;
-	// the backward scan covers overlapped closes.
-	for i := len(ti.open) - 1; i >= 0; i-- {
-		if ti.open[i] == sp.idx {
-			ti.open = append(ti.open[:i], ti.open[i+1:]...)
-			break
-		}
+	if sp.o != nil {
+		sp.o.spans[sp.idx].end = sp.o.eng.Now()
 	}
 }
 
@@ -236,10 +200,22 @@ func (o *Observer) Spans() int {
 	return len(o.spans)
 }
 
-// Tracks reports how many timelines have been registered.
-func (o *Observer) Tracks() int {
+// Open counts the spans and async spans begun but not yet ended. A drained
+// run ends everything it begins, so Open is 0 after every complete run.
+func (o *Observer) Open() int {
 	if o == nil {
 		return 0
 	}
-	return len(o.tracks)
+	n := 0
+	for _, sp := range o.spans {
+		if sp.end < 0 {
+			n++
+		}
+	}
+	for _, a := range o.asyncs {
+		if a.end < 0 {
+			n++
+		}
+	}
+	return n
 }

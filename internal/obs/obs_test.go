@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -23,8 +25,8 @@ func TestNilObserverIsInert(t *testing.T) {
 	sp.End()
 	asp := o.BeginAsync("request", 7, "queued")
 	asp.End()
-	o.Metrics().MustCounter("x", "events").Add(3)
-	if o.Spans() != 0 || o.Tracks() != 0 {
+	o.Metrics().Set("x", "events", 3)
+	if o.Spans() != 0 || o.Open() != 0 {
 		t.Fatalf("nil observer recorded something")
 	}
 }
@@ -42,36 +44,55 @@ func TestDisabledPathAllocatesNothing(t *testing.T) {
 	}
 }
 
-func TestSpanNesting(t *testing.T) {
+// TestOverlappingSpansOnOneTrack records spans on one track that overlap
+// without nesting and end out of order, plus one left open: each keeps its
+// own interval, Open counts what has not ended, and the summary sums the
+// closed spans only.
+func TestOverlappingSpansOnOneTrack(t *testing.T) {
 	o, eng := newBound(t)
 	tr := o.Track("layer")
+	var midOpen int
 	eng.Spawn("t", func(p *sim.Proc) {
-		outer := tr.Begin("outer")
+		a := tr.Begin("a").Bytes(100)
 		p.Sleep(10)
-		inner := tr.Begin("inner")
+		b := tr.Begin("b").Bytes(20)
 		p.Sleep(5)
-		inner.End()
+		midOpen = o.Open()
+		a.End()
 		p.Sleep(10)
-		outer.End()
+		b.End()
+		tr.Begin("left-open").Bytes(7)
 	})
 	eng.Run()
-	if got := o.Spans(); got != 2 {
-		t.Fatalf("spans = %d, want 2", got)
+	if midOpen != 2 {
+		t.Errorf("Open with a and b running = %d, want 2", midOpen)
 	}
-	if o.spans[0].parent != -1 {
-		t.Errorf("outer parent = %d, want -1", o.spans[0].parent)
+	if got := o.Open(); got != 1 {
+		t.Errorf("Open after the run = %d, want 1 (left-open)", got)
 	}
-	if o.spans[1].parent != 0 {
-		t.Errorf("inner parent = %d, want 0 (nested under outer)", o.spans[1].parent)
+	want := []struct{ start, end sim.Time }{{0, 15}, {10, 25}, {25, -1}}
+	for i, w := range want {
+		if sp := o.spans[i]; sp.start != w.start || sp.end != w.end {
+			t.Errorf("span %s = [%d,%d], want [%d,%d]", sp.name, sp.start, sp.end, w.start, w.end)
+		}
 	}
-	if o.spans[1].start != 10 || o.spans[1].end != 15 {
-		t.Errorf("inner interval = [%d,%d], want [10,15]", o.spans[1].start, o.spans[1].end)
+	var sum bytes.Buffer
+	if err := o.WriteSummary(&sum); err != nil {
+		t.Fatal(err)
 	}
-	if o.spans[0].end != 25 {
-		t.Errorf("outer end = %d, want 25", o.spans[0].end)
+	// busy 15+15ns and bytes 100+20: the open span counts but adds neither.
+	if !regexp.MustCompile(`(?m)^layer +3 +30ns +120$`).MatchString(sum.String()) {
+		t.Errorf("summary does not total the closed spans:\n%s", sum.String())
 	}
-	if got := o.busyOf("layer"); got != 30 {
-		t.Errorf("busy = %v, want 30ns (outer 25 + inner 5)", got)
+	out := string(o.ChromeTrace())
+	for _, w := range []string{
+		`"ts":0.000,"dur":0.015,"name":"a"`,
+		`"ts":0.010,"dur":0.015,"name":"b"`,
+		`"ts":0.025,"dur":0.000,"name":"left-open"`,
+	} {
+		if !strings.Contains(out, w) {
+			t.Errorf("trace missing %q\n%s", w, out)
+		}
 	}
 }
 
@@ -86,83 +107,69 @@ func TestTrackRegistrationIsStable(t *testing.T) {
 	if a.id == b.id {
 		t.Fatalf("distinct tracks share an id")
 	}
-	if o.Tracks() != 2 {
-		t.Fatalf("tracks = %d, want 2", o.Tracks())
+	if len(o.tracks) != 2 {
+		t.Fatalf("tracks = %d, want 2", len(o.tracks))
 	}
 }
 
+// TestRegistryDupName: setting a name again overwrites its value, and a
+// unit conflict panics (the documented contract of Set).
 func TestRegistryDupName(t *testing.T) {
-	r := NewRegistry()
-	c1, err := r.Counter("layer.ops", "events")
-	if err != nil {
-		t.Fatal(err)
+	var r Registry
+	r.Set("layer.ops", "events", 2)
+	r.Set("layer.ops", "events", 5)
+	if len(r.points) != 1 || r.points[0].Value != 5 {
+		t.Fatalf("overwrite kept %+v, want one point of value 5", r.points)
 	}
-	// Idempotent: same name, kind, and unit returns the same cell.
-	c2, err := r.Counter("layer.ops", "events")
-	if err != nil {
-		t.Fatalf("idempotent re-registration errored: %v", err)
-	}
-	c1.Add(2)
-	c2.Add(3)
-	if c1.Value() != 5 {
-		t.Errorf("counter cells not shared: %d, want 5", c1.Value())
-	}
-	// Kind conflict errors.
-	if _, err := r.Gauge("layer.ops", "events"); err == nil {
-		t.Error("kind conflict not reported")
-	} else if !strings.Contains(err.Error(), "layer.ops") || !strings.Contains(err.Error(), "counter") {
-		t.Errorf("conflict message unhelpful: %v", err)
-	}
-	// Unit conflict errors.
-	if _, err := r.Counter("layer.ops", "bytes"); err == nil {
-		t.Error("unit conflict not reported")
-	}
-	// Must* panics on conflict (documented contract).
 	func() {
 		defer func() {
-			if recover() == nil {
-				t.Error("MustGauge did not panic on kind conflict")
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "layer.ops") || !strings.Contains(msg, "events") {
+				t.Errorf("unit conflict panic = %q, want it to name the metric and its unit", msg)
 			}
 		}()
-		r.MustGauge("layer.ops", "events")
+		r.Set("layer.ops", "bytes", 1)
 	}()
-	if r.Len() != 1 {
-		t.Errorf("registry len = %d, want 1", r.Len())
+	if len(r.points) != 1 || r.points[0].Unit != "events" {
+		t.Errorf("unit conflict changed the registry: %+v", r.points)
 	}
 }
 
+// TestRegistryOrderAndKinds: metrics export in first-set order, an
+// overwrite keeps its place, and every metric exports as a gauge.
 func TestRegistryOrderAndKinds(t *testing.T) {
-	r := NewRegistry()
-	r.MustCounter("b.second", "events").Add(1)
-	r.MustGauge("a.third", "ratio").Set(0.5)
-	h := r.MustHistogram("c.first", "ns")
-	h.Observe(10)
-	h.Observe(1000)
-	h.Observe(-3) // clamps to 0
-	var names []string
-	r.Each(func(m MetricPoint) { names = append(names, m.Name) })
-	want := []string{"b.second", "a.third", "c.first"}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("registration order not preserved: %v", names)
-		}
+	o := New()
+	r := o.Metrics()
+	r.Set("b.second", "events", 1)
+	r.Set("a.third", "ratio", 0.5)
+	r.Set("c.first", "ns", 10)
+	r.Set("b.second", "events", 2)
+	var got []MetricPoint
+	r.Each(func(m MetricPoint) { got = append(got, m) })
+	want := []MetricPoint{{"b.second", "events", 2}, {"a.third", "ratio", 0.5}, {"c.first", "ns", 10}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Each = %+v, want %+v", got, want)
 	}
-	if h.Count() != 3 || h.Sum() != 1010 || h.Min() != 0 || h.Max() != 1000 {
-		t.Errorf("histogram summary n=%d sum=%d min=%d max=%d", h.Count(), h.Sum(), h.Min(), h.Max())
+	if out := string(o.ChromeTrace()); !strings.Contains(out,
+		`{"name":"b.second","kind":"gauge","unit":"events","value":2},
+{"name":"a.third","kind":"gauge","unit":"ratio","value":0.5},
+{"name":"c.first","kind":"gauge","unit":"ns","value":10}`) {
+		t.Errorf("chrome metrics out of order or not gauges:\n%s", out)
+	}
+	var sum bytes.Buffer
+	if err := o.WriteSummary(&sum); err != nil {
+		t.Fatal(err)
+	}
+	if !regexp.MustCompile(`(?m)^a\.third +gauge +0\.5 +ratio$`).MatchString(sum.String()) {
+		t.Errorf("summary metric line wrong:\n%s", sum.String())
 	}
 }
 
 func TestNilRegistryDiscards(t *testing.T) {
 	var r *Registry
-	c, err := r.Counter("x", "events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Add(5)
-	if c.Value() != 0 {
-		t.Error("nil-registry counter retained a value")
-	}
-	r.Each(func(MetricPoint) { t.Error("nil registry visited an instrument") })
+	r.Set("x", "events", 5)
+	r.Set("x", "bytes", 5)
+	r.Each(func(MetricPoint) { t.Error("nil registry visited a metric") })
 }
 
 func TestChromeTraceShape(t *testing.T) {
@@ -176,7 +183,7 @@ func TestChromeTraceShape(t *testing.T) {
 		q.End()
 	})
 	eng.Run()
-	o.Metrics().MustCounter("pcie.h2d_bytes", "bytes").Add(1 << 20)
+	o.Metrics().Set("pcie.h2d_transfers", "count", 1)
 	out := string(o.ChromeTrace())
 	for _, want := range []string{
 		`"thread_name","args":{"name":"pcie-h2d"}`,
@@ -184,7 +191,7 @@ func TestChromeTraceShape(t *testing.T) {
 		`"ts":0.000,"dur":1.500,"name":"dma"`,
 		`"args":{"bytes":1048576,"mode":"tdx-h100"}`,
 		`"ph":"b"`, `"ph":"e"`, `"cat":"request"`, `"id":"0x3"`,
-		`{"name":"pcie.h2d_bytes","kind":"counter","unit":"bytes","value":1048576}`,
+		`{"name":"pcie.h2d_transfers","kind":"gauge","unit":"count","value":1}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("trace missing %q\n%s", want, out)
@@ -207,7 +214,7 @@ func TestExportsDeterministic(t *testing.T) {
 			}
 		})
 		eng.Run()
-		o.Metrics().MustCounter("ops", "events").Add(4)
+		o.Metrics().Set("ops", "events", 4)
 		var sum bytes.Buffer
 		if err := o.WriteSummary(&sum); err != nil {
 			t.Fatal(err)

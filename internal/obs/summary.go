@@ -5,20 +5,33 @@ import (
 	"io"
 	"strconv"
 	"text/tabwriter"
-	"time"
 
 	"hccsim/internal/sim"
 )
 
 // WriteSummary writes the compact per-layer text summary: one line per
-// track (span count, total busy time, bytes moved), the async scopes, and
-// every registered metric in registration order. Like the Chrome export,
-// the output is deterministic byte-for-byte.
+// track (span count, busy time and bytes moved of its closed spans), the
+// async scopes, and every metric in first-set order. Like the Chrome
+// export, the output is deterministic byte-for-byte.
 func (o *Observer) WriteSummary(w io.Writer) error {
+	type trackAgg struct {
+		n     int
+		busy  sim.Duration
+		bytes int64
+	}
+	per := make([]trackAgg, len(o.tracks))
+	for _, sp := range o.spans {
+		a := &per[sp.track]
+		a.n++
+		if sp.end >= sp.start {
+			a.busy += sim.Duration(sp.end - sp.start)
+			a.bytes += sp.bytes
+		}
+	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "track\tspans\tbusy\tbytes\n")
-	for _, t := range o.tracks {
-		fmt.Fprintf(tw, "%s\t%d\t%v\t%d\n", t.name, o.trackSpans(t.name), t.busy, t.bytes)
+	for i, name := range o.tracks {
+		fmt.Fprintf(tw, "%s\t%d\t%v\t%d\n", name, per[i].n, per[i].busy, per[i].bytes)
 	}
 	if len(o.asyncs) > 0 {
 		fmt.Fprintf(tw, "\nscope\tspans\tbusy\n")
@@ -45,44 +58,11 @@ func (o *Observer) WriteSummary(w io.Writer) error {
 			fmt.Fprintf(tw, "%s\t%d\t%v\n", s.name, s.n, s.total)
 		}
 	}
-	if o.reg.Len() > 0 {
+	if len(o.reg.points) > 0 {
 		fmt.Fprintf(tw, "\nmetric\tkind\tvalue\tunit\n")
-		o.reg.Each(func(m MetricPoint) {
-			switch m.Kind {
-			case KindGauge:
-				fmt.Fprintf(tw, "%s\t%s\t%s\t%s\n", m.Name, m.Kind,
-					strconv.FormatFloat(m.Value, 'f', -1, 64), m.Unit)
-			case KindHistogram:
-				fmt.Fprintf(tw, "%s\t%s\tn=%d sum=%d min=%d max=%d\t%s\n",
-					m.Name, m.Kind, m.Count, m.Sum, m.Min, m.Max, m.Unit)
-			default:
-				fmt.Fprintf(tw, "%s\t%s\t%d\t%s\n", m.Name, m.Kind, m.Count, m.Unit)
-			}
-		})
-	}
-	return tw.Flush()
-}
-
-// trackSpans counts recorded spans on the named track. Export-time only —
-// the hot path never calls it.
-func (o *Observer) trackSpans(name string) int {
-	id, ok := o.byName[name]
-	if !ok {
-		return 0
-	}
-	n := 0
-	for _, sp := range o.spans {
-		if sp.track == id {
-			n++
+		for _, m := range o.reg.points {
+			fmt.Fprintf(tw, "%s\tgauge\t%s\t%s\n", m.Name, strconv.FormatFloat(m.Value, 'f', -1, 64), m.Unit)
 		}
 	}
-	return n
-}
-
-// busyOf is a test hook: total closed-span busy time on a track.
-func (o *Observer) busyOf(name string) time.Duration {
-	if id, ok := o.byName[name]; ok {
-		return o.tracks[id].busy
-	}
-	return 0
+	return tw.Flush()
 }

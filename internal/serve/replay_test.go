@@ -9,11 +9,11 @@ import (
 	"hccsim/internal/obs"
 )
 
-// runPair runs cfg unobserved and then with an observer attached. The
-// observer makes every token-id and swap copy run its step chain and every
-// decode iteration run step by step, while the unobserved run replays the
-// copies nothing else can see and folds uninterruptible decode iterations
-// into closed-form runs.
+// runPair runs cfg unobserved and then with an observer attached, which
+// must end every span the run begins. The observer makes every token-id
+// and swap copy run its step chain and every decode iteration run step by
+// step, while the unobserved run replays the copies nothing else can see
+// and folds uninterruptible decode iterations into closed-form runs.
 func runPair(t *testing.T, cfg Config) (plain, observed outcome) {
 	t.Helper()
 	cfg.Observer = nil
@@ -25,6 +25,9 @@ func runPair(t *testing.T, cfg Config) (plain, observed outcome) {
 	observed, err = run(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := cfg.Observer.Open(); n != 0 {
+		t.Errorf("observed run left %d spans open", n)
 	}
 	return plain, observed
 }

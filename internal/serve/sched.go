@@ -182,19 +182,16 @@ func schedule(cfg Config, sys cuda.Config, quant nn.Quant, model *costModel, wl 
 	if cfg.Observer != nil {
 		rt.PublishMetrics()
 		reg := cfg.Observer.Metrics()
-		g := func(name, unit string, v float64) {
-			reg.MustGauge(name, unit).Set(v)
-		}
-		g("serve.offered", "count", float64(rep.Offered))
-		g("serve.completed", "count", float64(rep.Completed))
-		g("serve.rejected", "count", float64(rep.Rejected))
-		g("serve.preemptions", "count", float64(rep.Preemptions))
-		g("serve.swap_out_bytes", "bytes", float64(rep.SwapOutBytes))
-		g("serve.swap_in_bytes", "bytes", float64(rep.SwapInBytes))
-		g("serve.prefill_iters", "count", float64(rep.PrefillIters))
-		g("serve.decode_iters", "count", float64(rep.DecodeIters))
-		g("serve.kv_peak_bytes", "bytes", float64(rep.KVPeakBytes))
-		g("serve.queue_peak_depth", "count", float64(rep.QueuePeakDepth))
+		reg.Set("serve.offered", "count", float64(rep.Offered))
+		reg.Set("serve.completed", "count", float64(rep.Completed))
+		reg.Set("serve.rejected", "count", float64(rep.Rejected))
+		reg.Set("serve.preemptions", "count", float64(rep.Preemptions))
+		reg.Set("serve.swap_out_bytes", "bytes", float64(rep.SwapOutBytes))
+		reg.Set("serve.swap_in_bytes", "bytes", float64(rep.SwapInBytes))
+		reg.Set("serve.prefill_iters", "count", float64(rep.PrefillIters))
+		reg.Set("serve.decode_iters", "count", float64(rep.DecodeIters))
+		reg.Set("serve.kv_peak_bytes", "bytes", float64(rep.KVPeakBytes))
+		reg.Set("serve.queue_peak_depth", "count", float64(rep.QueuePeakDepth))
 	}
 	return outcome{rep: rep, wl: wl, kv: kv, rt: rt}
 }

@@ -2,10 +2,7 @@ package trace
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-
-	"hccsim/internal/sim"
 )
 
 // jsonEvent is the export schema: stable field names, nanosecond integers,
@@ -66,33 +63,4 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
-}
-
-// ReadJSON parses a document written by WriteJSON back into a Tracer —
-// round-tripping traces lets external tools hand analysis back.
-func ReadJSON(r io.Reader) (*Tracer, error) {
-	var rep jsonReport
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("trace: decoding JSON report: %w", err)
-	}
-	kindByName := make(map[string]Kind, len(kindNames))
-	for i, n := range kindNames {
-		kindByName[n] = Kind(i)
-	}
-	t := New()
-	for _, je := range rep.Events {
-		kind, ok := kindByName[je.Kind]
-		if !ok {
-			return nil, fmt.Errorf("trace: unknown event kind %q", je.Kind)
-		}
-		t.Record(Event{
-			Kind: kind, Name: je.Name, Stream: je.Stream,
-			Start: sim.Time(je.StartNS), End: sim.Time(je.EndNS),
-			Bytes: je.Bytes, Managed: je.Managed, Seq: je.Seq,
-		})
-		if je.Seq > t.seq {
-			t.seq = je.Seq
-		}
-	}
-	return t, nil
 }

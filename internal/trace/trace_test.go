@@ -307,44 +307,6 @@ func TestPropertyCDFValid(t *testing.T) {
 	}
 }
 
-func TestJSONRoundTrip(t *testing.T) {
-	tr := New()
-	seq := tr.NextSeq()
-	tr.Record(Event{Kind: KindLaunch, Name: "k", Stream: 1, Start: 10, End: 20, Seq: seq})
-	tr.Record(Event{Kind: KindKernel, Name: "k", Stream: 1, Start: 25, End: 125, Seq: seq})
-	tr.Record(Event{Kind: KindMemcpyH2D, Name: "cudaMemcpy", Stream: -1, Start: 0, End: 8, Bytes: 4096, Managed: true})
-
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Events()) != len(tr.Events()) {
-		t.Fatalf("round trip lost events: %d vs %d", len(back.Events()), len(tr.Events()))
-	}
-	m1 := tr.Analyze()
-	m2 := back.Analyze()
-	if m1.KLO != m2.KLO || m1.KET != m2.KET || m1.KQT != m2.KQT || m1.CopyH2D != m2.CopyH2D {
-		t.Fatalf("analysis differs after round trip:\n%+v\n%+v", m1, m2)
-	}
-	// Managed flags and bytes survive.
-	if e := back.Events()[2]; !e.Managed || e.Bytes != 4096 {
-		t.Fatalf("copy event lost attributes: %+v", e)
-	}
-}
-
-func TestReadJSONRejectsGarbage(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader("{not json")); err == nil {
-		t.Fatal("expected decode error")
-	}
-	if _, err := ReadJSON(strings.NewReader(`{"events":[{"kind":"Nope"}]}`)); err == nil {
-		t.Fatal("expected unknown-kind error")
-	}
-}
-
 func TestGanttRendering(t *testing.T) {
 	tr := New()
 	seq := tr.NextSeq()
@@ -455,6 +417,8 @@ func TestAnalyzeAfterRecordMatchesFresh(t *testing.T) {
 	}
 }
 
+// A zero-value Tracer analyzes as empty and, once loaded with events,
+// exactly as a tracer made by New.
 func TestAnalyzeZeroValueAndLoaded(t *testing.T) {
 	var zero Tracer
 	if m := zero.Analyze(); !reflect.DeepEqual(m, Metrics{}) {
@@ -466,17 +430,6 @@ func TestAnalyzeZeroValueAndLoaded(t *testing.T) {
 	want := ref.Analyze()
 	if got := zero.Analyze(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("zero-value tracer:\n%+v\nNew tracer:\n%+v", got, want)
-	}
-	var buf bytes.Buffer
-	if err := ref.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := back.Analyze(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("ReadJSON tracer:\n%+v\noriginal:\n%+v", got, want)
 	}
 }
 
