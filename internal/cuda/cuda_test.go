@@ -222,6 +222,37 @@ func TestRingThrottleCreatesLQT(t *testing.T) {
 	}
 }
 
+// TestLaunchSteadyStateAllocs launches past the ring window on an untraced
+// runtime, so every launch waits for the oldest in-flight kernel, and
+// counts allocations per launch once the window, the channel FIFO and the
+// command pools are warm. What remains is the kernel's completion signal
+// and the throttle's wait on the oldest one.
+func TestLaunchSteadyStateAllocs(t *testing.T) {
+	for _, cc := range []bool{false, true} {
+		eng := sim.NewEngine()
+		rt := New(eng, DefaultConfig(cc))
+		rt.SetTracer(nil)
+		var allocs float64
+		eng.Spawn("host", func(p *sim.Proc) {
+			c := rt.Bind(p)
+			s := c.StreamCreate()
+			spec := gpu.KernelSpec{Name: "k", Fixed: 20 * time.Microsecond}
+			for i := 0; i < 4*rt.params.RingSlots; i++ {
+				c.Launch(spec, s)
+			}
+			allocs = testing.AllocsPerRun(1000, func() { c.Launch(spec, s) })
+			if n := len(s.window()); n != rt.params.RingSlots {
+				t.Errorf("cc=%v: window holds %d signals, want a full ring of %d", cc, n, rt.params.RingSlots)
+			}
+			c.Sync()
+		})
+		eng.Run()
+		if allocs > 2 {
+			t.Errorf("cc=%v: %.0f allocations per steady-state launch, want at most 2", cc, allocs)
+		}
+	}
+}
+
 func TestKQTAmplifiedUnderCC(t *testing.T) {
 	kqt := func(cc bool) time.Duration {
 		rt := run(t, cc, func(c *Context) {

@@ -28,29 +28,41 @@ func prunedByFilter(pending []*sim.Signal) []*sim.Signal {
 }
 
 // windowError reports how s's window breaks the prefix rule — a fired
-// signal behind one that has not fired, or prune keeping something other
-// than what the filter keeps — or "" when it holds.
+// signal behind one that has not fired, a slot outside the window that
+// still pins a signal, or prune keeping something other than what the
+// filter keeps — or "" when it holds.
 func windowError(s *Stream) string {
-	for i := 1; i < len(s.pending); i++ {
-		if s.pending[i].Fired() && !s.pending[i-1].Fired() {
+	win := s.window()
+	for i := 1; i < len(win); i++ {
+		if win[i].Fired() && !win[i-1].Fired() {
 			return fmt.Sprintf("stream %d at %v: signal %d fired before signal %d", s.ID(), s.ctx.p.Now(), i, i-1)
 		}
 	}
-	shadow := &Stream{pending: append([]*sim.Signal(nil), s.pending...)}
+	for i, sig := range s.pending[:s.head] {
+		if sig != nil {
+			return fmt.Sprintf("stream %d at %v: slot %d behind the head still pins a signal", s.ID(), s.ctx.p.Now(), i)
+		}
+	}
+	for i, sig := range s.pending[len(s.pending):cap(s.pending)] {
+		if sig != nil {
+			return fmt.Sprintf("stream %d at %v: slot %d past the window still pins a signal", s.ID(), s.ctx.p.Now(), len(s.pending)+i)
+		}
+	}
+	shadow := &Stream{pending: append([]*sim.Signal(nil), win...)}
 	shadow.prune()
-	if want := prunedByFilter(s.pending); fmt.Sprint(shadow.pending) != fmt.Sprint(want) {
-		return fmt.Sprintf("stream %d at %v: prune keeps %d signals, the filter %d", s.ID(), s.ctx.p.Now(), len(shadow.pending), len(want))
+	if want := prunedByFilter(win); fmt.Sprint(shadow.window()) != fmt.Sprint(want) {
+		return fmt.Sprintf("stream %d at %v: prune keeps %d signals, the filter %d", s.ID(), s.ctx.p.Now(), len(shadow.window()), len(want))
 	}
 	return ""
 }
 
-// TestPruneMatchesFilter drives two streams with a mix of kernels, async
+// TestGoldenPruneMix drives two streams with a mix of kernels, async
 // copies, event markers and cross-stream waits, past the ring window on
 // both, and checks every window after each API call and at every
 // microsecond of simulated time. The recorded trace is compared with
 // testdata/prune-mix.golden, which the filtering prune produced, so the
 // prefix rule changes no timing.
-func TestPruneMatchesFilter(t *testing.T) {
+func TestGoldenPruneMix(t *testing.T) {
 	var out strings.Builder
 	for _, cc := range []bool{false, true} {
 		eng := sim.NewEngine()
@@ -94,7 +106,7 @@ func TestPruneMatchesFilter(t *testing.T) {
 				}
 				check()
 				for _, s := range streams {
-					if len(s.pending) == ring {
+					if len(s.window()) == ring {
 						full++
 					}
 				}

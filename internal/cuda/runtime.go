@@ -202,9 +202,12 @@ func (c *Context) Runtime() *Runtime { return c.rt }
 // Stream is a CUDA stream: an ordered queue of device work backed by one
 // GPU channel, with an in-flight launch window that throttles the host.
 type Stream struct {
-	ctx     *Context
-	ch      *gpu.Channel
+	ctx *Context
+	ch  *gpu.Channel
+	// pending[head:] is the in-flight window: the completion signals of
+	// submitted commands, in submission order, not yet seen fired.
 	pending []*sim.Signal
+	head    int
 }
 
 func (c *Context) newStream() *Stream {
@@ -231,28 +234,40 @@ func (s *Stream) ID() int { return s.ch.ID() }
 // launch queuing time (LQT), matching the paper's decomposition.
 func (s *Stream) throttle() {
 	limit := s.ctx.rt.params.RingSlots
-	for len(s.pending) >= limit {
-		s.pending[0].Wait(s.ctx.p)
+	for len(s.window()) >= limit {
+		s.window()[0].Wait(s.ctx.p)
 		s.prune()
 	}
 }
 
-// prune drops the completed commands from the in-flight window. Every
-// tracked signal belongs to a command on the stream's own channel, which
-// completes its commands strictly in submission order, so the fired
-// signals are always a prefix of pending.
+// window returns the in-flight window.
+func (s *Stream) window() []*sim.Signal { return s.pending[s.head:] }
+
+// prune drops the completed commands from the in-flight window by
+// advancing its head. Every tracked signal belongs to a command on the
+// stream's own channel, which completes its commands strictly in
+// submission order, so the fired signals are always a prefix of the
+// window. A window that empties rewinds to the front of its backing array.
 func (s *Stream) prune() {
-	n := 0
-	for n < len(s.pending) && s.pending[n].Fired() {
-		n++
+	for s.head < len(s.pending) && s.pending[s.head].Fired() {
+		s.pending[s.head] = nil
+		s.head++
 	}
-	if n > 0 {
-		s.pending = s.pending[:copy(s.pending, s.pending[n:])]
+	if s.head == len(s.pending) {
+		s.pending, s.head = s.pending[:0], 0
 	}
 }
 
-// track registers a submitted command for window accounting.
+// track registers a submitted command for window accounting. When the
+// backing array is full and at least half of it lies behind the head, the
+// window slides back to the front instead of growing the array, so each
+// signal is moved at most once on average.
 func (s *Stream) track(sig *sim.Signal) {
+	if len(s.pending) == cap(s.pending) && 2*s.head >= len(s.pending) {
+		n := copy(s.pending, s.pending[s.head:])
+		clear(s.pending[n:])
+		s.pending, s.head = s.pending[:n], 0
+	}
 	s.pending = append(s.pending, sig)
 }
 

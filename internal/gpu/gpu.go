@@ -203,24 +203,28 @@ func (d *Device) dispatchCost() time.Duration {
 // channel is drained in FIFO order by its own processor loop — a
 // run-to-completion actor state machine, since this is the hottest daemon
 // in the simulator — while dispatch and the compute engine are shared
-// across channels. The in-flight command state lives directly on the
-// Channel: exactly one command is ever being processed per channel, so the
-// loop allocates nothing in steady state.
+// across channels. Kernel and copy commands are taken from per-channel
+// pools and queued as pointers, and the rest of the in-flight command state
+// lives directly on the Channel: exactly one command is ever being
+// processed per channel, so in steady state a submission allocates only
+// its completion signal and the loop allocates nothing.
 type Channel struct {
-	dev  *Device
-	id   int
-	q    *sim.Queue[command]
-	last *sim.Signal // completion of the most recent command
+	dev   *Device
+	id    int
+	q     *sim.Queue[command]
+	last  *sim.Signal // completion of the most recent command
+	kpool sim.FramePool[kernelCmd]
+	cpool sim.FramePool[copyCmd]
 
 	a       *sim.Actor
-	kc      kernelCmd // kernel in flight
-	cc      copyCmd   // copy in flight
-	wc      waitCmd   // barrier in flight
-	mai     int       // next managed access of the kernel in flight
-	start   sim.Time  // engine-start time of the command in flight
-	managed bool      // copy in flight was demoted to encrypted paging
-	trk     obs.Track // this channel's timeline (zero when tracing is off)
-	sp      obs.Span  // span of the command in flight
+	kc      *kernelCmd // kernel in flight
+	cc      *copyCmd   // copy in flight
+	wc      waitCmd    // barrier in flight
+	mai     int        // next managed access of the kernel in flight
+	start   sim.Time   // engine-start time of the command in flight
+	managed bool       // copy in flight was demoted to encrypted paging
+	trk     obs.Track  // this channel's timeline (zero when tracing is off)
+	sp      obs.Span   // span of the command in flight
 }
 
 // NewChannel creates and starts a channel.
@@ -265,15 +269,17 @@ type markerCmd struct {
 	done *sim.Signal
 }
 
-func (kernelCmd) isCommand() {}
-func (copyCmd) isCommand()   {}
-func (markerCmd) isCommand() {}
+func (*kernelCmd) isCommand() {}
+func (*copyCmd) isCommand()   {}
+func (markerCmd) isCommand()  {}
 
 // SubmitKernel enqueues a kernel; graphed nodes skip per-command
 // authentication overhead after the first (the whole graph is one packet).
 func (ch *Channel) SubmitKernel(spec KernelSpec, seq int, graphed bool) *sim.Signal {
 	done := sim.NewSignal(ch.dev.eng)
-	ch.q.Put(kernelCmd{spec: spec, seq: seq, graphed: graphed, done: done})
+	k := ch.kpool.Get()
+	k.spec, k.seq, k.graphed, k.done = spec, seq, graphed, done
+	ch.q.Put(k)
 	ch.last = done
 	return done
 }
@@ -281,7 +287,9 @@ func (ch *Channel) SubmitKernel(spec KernelSpec, seq int, graphed bool) *sim.Sig
 // SubmitCopy enqueues an async copy.
 func (ch *Channel) SubmitCopy(kind trace.Kind, dir pcie.Direction, bytes int64, pinned bool) *sim.Signal {
 	done := sim.NewSignal(ch.dev.eng)
-	ch.q.Put(copyCmd{kind: kind, dir: dir, bytes: bytes, pinned: pinned, done: done})
+	c := ch.cpool.Get()
+	c.kind, c.dir, c.bytes, c.pinned, c.done = kind, dir, bytes, pinned, done
+	ch.q.Put(c)
 	ch.last = done
 	return done
 }
@@ -307,7 +315,7 @@ func chanDispatch(x any, cmd command) {
 	ch := x.(*Channel)
 	d := ch.dev
 	switch c := cmd.(type) {
-	case kernelCmd:
+	case *kernelCmd:
 		ch.kc = c
 		cost := d.dispatchCost()
 		if c.graphed {
@@ -315,7 +323,7 @@ func chanDispatch(x any, cmd command) {
 			cost = d.params.DispatchBase / 4
 		}
 		d.cmdproc.UseA(ch.a, cost, kernelDispatched, ch)
-	case copyCmd:
+	case *copyCmd:
 		ch.cc = c
 		d.cmdproc.UseA(ch.a, d.dispatchCost(), copyDispatched, ch)
 	case markerCmd:
@@ -367,7 +375,7 @@ func kernelDone(x any) {
 	ch := x.(*Channel)
 	d := ch.dev
 	c := ch.kc
-	ch.kc = kernelCmd{}
+	ch.kc = nil
 	ch.sp.End()
 	d.compute.Release()
 	d.kernelsRun++
@@ -375,7 +383,9 @@ func kernelDone(x any) {
 		Kind: trace.KindKernel, Name: c.spec.Name, Stream: ch.id,
 		Start: ch.start, End: ch.a.Now(), Seq: c.seq,
 	})
-	c.done.Fire()
+	done := c.done
+	ch.kpool.Put(c)
+	done.Fire()
 	chanNext(ch)
 }
 
@@ -394,7 +404,7 @@ func copyLanded(x any) {
 	ch := x.(*Channel)
 	d := ch.dev
 	c := ch.cc
-	ch.cc = copyCmd{}
+	ch.cc = nil
 	ch.sp.End()
 	kind := c.kind
 	if ch.managed {
@@ -405,7 +415,9 @@ func copyLanded(x any) {
 		Kind: kind, Name: "memcpyAsync", Stream: ch.id,
 		Start: ch.start, End: ch.a.Now(), Bytes: c.bytes, Managed: ch.managed,
 	})
-	c.done.Fire()
+	done := c.done
+	ch.cpool.Put(c)
+	done.Fire()
 	chanNext(ch)
 }
 

@@ -230,10 +230,13 @@ func iterationKernels(cfg TrainConfig) []gpu.KernelSpec {
 	if per < 1500*time.Nanosecond {
 		per = 1500 * time.Nanosecond // kernel floor: scheduling + tiny tensors
 	}
+	var names [24]string // 24 distinct modules
+	for i := range names {
+		names[i] = fmt.Sprintf("%s.%s.k%d", m.Name, cfg.Precision, i)
+	}
 	specs := make([]gpu.KernelSpec, kernels)
 	for i := range specs {
-		name := fmt.Sprintf("%s.%s.k%d", m.Name, cfg.Precision, i%24) // 24 distinct modules
-		specs[i] = gpu.KernelSpec{Name: name, Fixed: per}
+		specs[i] = gpu.KernelSpec{Name: names[i%len(names)], Fixed: per}
 	}
 	return specs
 }

@@ -20,8 +20,11 @@ import (
 // duration and attrs, and the viewer nests the spans of one track by time
 // containment; request-lifecycle phases export as "b"/"e" async
 // pairs keyed by (scope, request id) so overlapping instances render as
-// separate rows of one group.
+// separate rows of one group. A nil observer renders the empty export.
 func (o *Observer) ChromeTrace() []byte {
+	if o == nil {
+		o = &Observer{}
+	}
 	var b []byte
 	b = append(b, "{\"traceEvents\":[\n"...)
 	b = append(b, `{"ph":"M","pid":0,"tid":0,"name":"process_name","args":{"name":"hccsim"}}`...)

@@ -29,6 +29,20 @@ func TestNilObserverIsInert(t *testing.T) {
 	if o.Spans() != 0 || o.Open() != 0 {
 		t.Fatalf("nil observer recorded something")
 	}
+	empty := New()
+	if got, want := string(o.ChromeTrace()), string(empty.ChromeTrace()); got != want {
+		t.Fatalf("nil ChromeTrace = %q, want the empty export %q", got, want)
+	}
+	var chrome, summary, emptySummary bytes.Buffer
+	if err := o.WriteChromeTrace(&chrome); err != nil || chrome.String() != string(empty.ChromeTrace()) {
+		t.Fatalf("nil WriteChromeTrace wrote %q (err %v), want the empty export", chrome.String(), err)
+	}
+	if err := empty.WriteSummary(&emptySummary); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.WriteSummary(&summary); err != nil || summary.String() != emptySummary.String() {
+		t.Fatalf("nil WriteSummary wrote %q (err %v), want the empty summary %q", summary.String(), err, emptySummary.String())
+	}
 }
 
 func TestDisabledPathAllocatesNothing(t *testing.T) {

@@ -12,8 +12,12 @@ import (
 // WriteSummary writes the compact per-layer text summary: one line per
 // track (span count, busy time and bytes moved of its closed spans), the
 // async scopes, and every metric in first-set order. Like the Chrome
-// export, the output is deterministic byte-for-byte.
+// export, the output is deterministic byte-for-byte. A nil observer writes
+// the empty summary: the track header alone.
 func (o *Observer) WriteSummary(w io.Writer) error {
+	if o == nil {
+		o = &Observer{}
+	}
 	type trackAgg struct {
 		n     int
 		busy  sim.Duration

@@ -171,6 +171,21 @@ func (e *Engine) wakeWaiter(w waiter) {
 	e.scheduleStep(e.now, w.fn, w.arg)
 }
 
+// popWaiter removes and returns the first waiter of a non-empty wait list.
+// A list that empties rewinds to the start of its backing array, so a
+// one-deep park/wake cycle reuses it instead of allocating a new one.
+func popWaiter(list *[]waiter) waiter {
+	l := *list
+	w := l[0]
+	l[0] = waiter{}
+	if len(l) == 1 {
+		*list = l[:0]
+	} else {
+		*list = l[1:]
+	}
+	return w
+}
+
 // trackLive appends x to a live-task list, compacting finished entries in
 // place (order-preserving, so deadlock reports stay deterministic) when the
 // list is about to grow.

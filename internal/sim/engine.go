@@ -23,9 +23,9 @@
 // Scheduling internals live in the eventq sub-package: a typed 4-ary
 // min-heap over an index-addressed arena with a free-list, behind a
 // one-entry hold slot for the next event, so the steady state neither
-// boxes nor allocates per event. Process resumes are scheduled as direct
-// *Proc payloads and actor steps as (func(any), state) pairs — no closure
-// per wake in either model.
+// boxes nor allocates per event. An actor step rides a four-word event as
+// a (func(any), state) pair and a process resume as the bare *Proc in the
+// state word — no closure per wake in either model.
 package sim
 
 import (
@@ -54,17 +54,17 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // String formats the instant as a duration offset from simulation start.
 func (t Time) String() string { return Duration(t).String() }
 
-// item is one scheduled unit of work. Exactly one of fn, proc, cfn is set:
+// item is one scheduled unit of work, four words wide:
 //
-//	fn   — a generic callback;
-//	proc — resume this single blocked process (Sleep, Resource hand-over,
-//	       Queue wake — no closure allocated);
-//	cfn  — run an actor continuation step cfn(carg) inline in the engine
-//	       loop (the run-to-completion resume path: no channel operations,
-//	       no goroutine switch, no allocation).
+//	cfn set — run an actor continuation step cfn(carg) inline in the engine
+//	          loop (the run-to-completion resume path: no channel
+//	          operations, no goroutine switch, no allocation);
+//	fn set  — a generic callback;
+//	neither — resume the single blocked process held in carg as a *Proc
+//	          (Sleep, Resource hand-over, Queue wake — no closure
+//	          allocated).
 type item struct {
 	fn   func()
-	proc *Proc
 	cfn  func(any)
 	carg any
 }
@@ -163,7 +163,7 @@ func (e *Engine) Schedule(d Duration, fn func()) {
 // scheduleProc enqueues a direct resume of p at an absolute time — no
 // closure, just the pointer riding the event arena.
 func (e *Engine) scheduleProc(at Time, p *Proc) {
-	e.push(at, item{proc: p})
+	e.push(at, item{carg: p})
 }
 
 // scheduleStep enqueues an actor continuation at an absolute time. Like a
@@ -197,13 +197,13 @@ func (e *Engine) drive() *Proc {
 		e.now = Time(at)
 		e.fired++
 		switch {
-		case it.proc != nil:
-			return it.proc
 		case it.cfn != nil:
 			e.steps++
 			it.cfn(it.carg)
-		default:
+		case it.fn != nil:
 			it.fn()
+		default:
+			return it.carg.(*Proc)
 		}
 	}
 }

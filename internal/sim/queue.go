@@ -13,9 +13,12 @@ import "fmt"
 // no per-item heap allocation and no type assertion on the hot path.
 //
 // Items live in a sliding window of one backing slice: Get advances a head
-// index instead of re-slicing, and the backing array is reused from the
-// start whenever the queue drains, so an alternating Put/Get steady state
-// allocates nothing.
+// index instead of re-slicing. The backing array is reused from the start
+// whenever the queue drains, and a Put that finds it full while at least
+// half of it is consumed prefix slides the live window back to the front
+// instead of growing it, so a steady state at any constant depth — even
+// one that never drains, like a throttled command channel — allocates
+// nothing.
 type Queue[T any] struct {
 	eng       *Engine
 	items     []T
@@ -48,16 +51,27 @@ func (q *Queue[T]) Puts() uint64 { return q.puts }
 
 // Put appends an item and wakes one blocked getter, if any.
 func (q *Queue[T]) Put(item T) {
+	if len(q.items) == cap(q.items) && 2*q.head >= len(q.items) {
+		q.compact()
+	}
 	q.items = append(q.items, item)
 	q.puts++
 	if q.Len() > q.maxDepth {
 		q.maxDepth = q.Len()
 	}
 	if len(q.getters) > 0 {
-		g := q.getters[0]
-		q.getters = q.getters[1:]
-		q.eng.wakeWaiter(g)
+		q.eng.wakeWaiter(popWaiter(&q.getters))
 	}
+}
+
+// compact slides the live window to the front of the backing array and
+// zeroes the vacated tail. It moves at most as many items as were consumed
+// since the window last started at the front, so Put stays amortized O(1).
+func (q *Queue[T]) compact() {
+	n := copy(q.items, q.items[q.head:])
+	clear(q.items[n:])
+	q.items = q.items[:n]
+	q.head = 0
 }
 
 // PutFront inserts an item at the head of the queue, ahead of everything
@@ -79,9 +93,7 @@ func (q *Queue[T]) PutFront(item T) {
 		q.maxDepth = q.Len()
 	}
 	if len(q.getters) > 0 {
-		g := q.getters[0]
-		q.getters = q.getters[1:]
-		q.eng.wakeWaiter(g)
+		q.eng.wakeWaiter(popWaiter(&q.getters))
 	}
 }
 

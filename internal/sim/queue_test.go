@@ -118,6 +118,47 @@ func TestQueueReusesBackingArray(t *testing.T) {
 	}
 }
 
+// TestQueueConstantDepthBoundsBacking holds a queue at a constant depth that
+// never drains, as a throttled command channel does, over 100k Put/GetA
+// pairs: the backing array stays within a small multiple of the depth
+// instead of growing with every item ever put.
+func TestQueueConstantDepthBoundsBacking(t *testing.T) {
+	const depth = 8
+	e := NewEngine()
+	q := NewQueue[int](e)
+	a := e.NewActor("consumer")
+	next := 0
+	step := func(_ any, v int) {
+		if v != next {
+			t.Fatalf("GetA delivered %d, want %d", v, next)
+		}
+		next++
+	}
+	for i := 0; i < depth; i++ {
+		q.Put(i)
+	}
+	for i := depth; i < depth+100_000; i++ {
+		q.Put(i)
+		q.GetA(a, step, nil)
+		if q.Len() != depth {
+			t.Fatalf("depth %d after put %d, want %d", q.Len(), i, depth)
+		}
+		for _, v := range q.items[len(q.items):cap(q.items)] {
+			if v != 0 {
+				t.Fatalf("slot vacated by compaction still holds %d after put %d", v, i)
+			}
+		}
+	}
+	if c := cap(q.items); c > 4*depth {
+		t.Fatalf("backing capacity %d at constant depth %d, want at most %d", c, depth, 4*depth)
+	}
+	for _, v := range q.items[:q.head] {
+		if v != 0 {
+			t.Fatalf("consumed slot still holds %d", v)
+		}
+	}
+}
+
 func TestQueueGetReleasesConsumedItems(t *testing.T) {
 	e := NewEngine()
 	q := NewQueue[*int](e)

@@ -105,9 +105,7 @@ func (r *Resource) Release() {
 		panic("sim: Release of idle resource")
 	}
 	if len(r.waiters) > 0 {
-		next := r.waiters[0]
-		r.waiters = r.waiters[1:]
-		r.eng.wakeWaiter(next)
+		r.eng.wakeWaiter(popWaiter(&r.waiters))
 		return
 	}
 	r.account()

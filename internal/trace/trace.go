@@ -7,7 +7,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -177,41 +179,70 @@ func (t *Tracer) Analyze() Metrics {
 	return *t.analyzed
 }
 
+// interval is the part of an event the LQT and KQT passes read: 24 bytes
+// to sort and scan instead of a 72-byte Event.
+type interval struct {
+	start, end sim.Time
+	seq        int
+}
+
+func byStart(a, b interval) int { return cmp.Compare(a.start, b.start) }
+
+func bySeq(a, b interval) int { return cmp.Compare(a.seq, b.seq) }
+
 func (t *Tracer) analyze() Metrics {
 	var m Metrics
-	var launches, kernels []Event
-	busy := make([]Event, 0, len(t.events)) // host-side API events for gap accounting
+	var nBusy int
 	for _, e := range t.events {
+		switch e.Kind {
+		case KindLaunch:
+			m.Launches++
+			nBusy++
+		case KindKernel:
+			m.Kernels++
+		case KindMemcpyH2D, KindMemcpyD2H, KindMemcpyD2D, KindAlloc, KindFree, KindSync:
+			nBusy++
+		}
+	}
+	if m.Launches > 0 {
+		m.KLOs = make([]time.Duration, 0, m.Launches)
+	}
+	if m.Kernels > 0 {
+		m.KETs = make([]time.Duration, 0, m.Kernels)
+	}
+	launches := make([]interval, 0, m.Launches)
+	kernels := make([]interval, 0, m.Kernels)
+	busy := make([]interval, 0, nBusy) // host-side API events for gap accounting
+	for _, e := range t.events {
+		iv := interval{e.Start, e.End, e.Seq}
 		switch e.Kind {
 		case KindLaunch:
 			m.KLO += e.Duration()
 			m.KLOs = append(m.KLOs, e.Duration())
-			m.Launches++
-			launches = append(launches, e)
-			busy = append(busy, e)
+			launches = append(launches, iv)
+			busy = append(busy, iv)
 		case KindKernel:
 			m.KET += e.Duration()
 			m.KETs = append(m.KETs, e.Duration())
-			m.Kernels++
-			kernels = append(kernels, e)
+			kernels = append(kernels, iv)
 		case KindMemcpyH2D:
 			m.CopyH2D += e.Duration()
-			busy = append(busy, e)
+			busy = append(busy, iv)
 		case KindMemcpyD2H:
 			m.CopyD2H += e.Duration()
-			busy = append(busy, e)
+			busy = append(busy, iv)
 		case KindMemcpyD2D:
 			m.CopyD2D += e.Duration()
-			busy = append(busy, e)
+			busy = append(busy, iv)
 		case KindAlloc:
 			m.AllocTime += e.Duration()
-			busy = append(busy, e)
+			busy = append(busy, iv)
 		case KindFree:
 			m.FreeTime += e.Duration()
-			busy = append(busy, e)
+			busy = append(busy, iv)
 		case KindSync:
 			m.SyncTime += e.Duration()
-			busy = append(busy, e)
+			busy = append(busy, iv)
 		}
 		if e.Kind == KindMemcpyH2D || e.Kind == KindMemcpyD2H || e.Kind == KindMemcpyD2D {
 			if e.Managed {
@@ -221,39 +252,39 @@ func (t *Tracer) analyze() Metrics {
 	}
 
 	// LQT: gaps between consecutive launches not covered by other API work.
-	sort.Slice(launches, func(i, j int) bool { return launches[i].Start < launches[j].Start })
-	sort.Slice(busy, func(i, j int) bool { return busy[i].Start < busy[j].Start })
-	// reach[j] is the latest End among busy[:j+1]. Every event before the
+	slices.SortFunc(launches, byStart)
+	slices.SortFunc(busy, byStart)
+	// reach[j] is the latest end among busy[:j+1]. Every event before the
 	// first index whose reach passes a gap's start ends before the gap, so
 	// the scan for that gap starts there.
 	reach := make([]sim.Time, len(busy))
 	for j, e := range busy {
-		reach[j] = e.End
+		reach[j] = e.end
 		if j > 0 {
-			reach[j] = max(reach[j-1], e.End)
+			reach[j] = max(reach[j-1], e.end)
 		}
 	}
 	for i := 1; i < len(launches); i++ {
-		gapStart, gapEnd := launches[i-1].End, launches[i].Start
+		gapStart, gapEnd := launches[i-1].end, launches[i].start
 		if gapEnd <= gapStart {
 			continue
 		}
 		from := sort.Search(len(reach), func(j int) bool { return reach[j] > gapStart })
-		covered := overlapWith(busy[from:], gapStart, gapEnd, launches[i].Seq, launches[i-1].Seq)
+		covered := overlapWith(busy[from:], gapStart, gapEnd, launches[i].seq, launches[i-1].seq)
 		gap := gapEnd.Sub(gapStart) - covered
 		if gap > 0 {
 			m.LQT += gap
 		}
 	}
 
-	// KQT: match kernels to launches by correlation id.
-	launchBySeq := make(map[int]Event, len(launches))
-	for _, l := range launches {
-		launchBySeq[l.Seq] = l
-	}
+	// KQT: match kernels to launches by correlation id. A stable sort by
+	// seq keeps launches that share one in start order, and the last of
+	// them is the match.
+	slices.SortStableFunc(launches, bySeq)
 	for _, k := range kernels {
-		if l, ok := launchBySeq[k.Seq]; ok {
-			if q := k.Start.Sub(l.End); q > 0 {
+		i, _ := slices.BinarySearchFunc(launches, interval{seq: k.seq + 1}, bySeq)
+		if i > 0 && launches[i-1].seq == k.seq {
+			if q := k.start.Sub(launches[i-1].end); q > 0 {
 				m.KQT += q
 			}
 		}
@@ -261,26 +292,20 @@ func (t *Tracer) analyze() Metrics {
 	return m
 }
 
-// overlapWith sums the portions of [start, end] covered by busy events
-// (sorted by Start), skipping the two launches that bound the gap.
-func overlapWith(busy []Event, start, end sim.Time, skipA, skipB int) time.Duration {
+// overlapWith sums the portions of [start, end] covered by busy intervals
+// (sorted by start), skipping the two launches that bound the gap.
+func overlapWith(busy []interval, start, end sim.Time, skipA, skipB int) time.Duration {
 	var covered time.Duration
 	cursor := start
 	for _, e := range busy {
-		if e.Start >= end {
+		if e.start >= end {
 			break
 		}
-		if e.Seq == skipA || e.Seq == skipB || e.End <= cursor {
+		if e.seq == skipA || e.seq == skipB || e.end <= cursor {
 			continue
 		}
-		s := e.Start
-		if s < cursor {
-			s = cursor
-		}
-		f := e.End
-		if f > end {
-			f = end
-		}
+		s := max(e.start, cursor)
+		f := min(e.end, end)
 		if f > s {
 			covered += f.Sub(s)
 			cursor = f

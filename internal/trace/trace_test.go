@@ -281,6 +281,66 @@ func TestPropertyLQTMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// mapKQT is the reference KQT: launches sorted by start into a map by
+// correlation id, the last one written winning, and each kernel matched
+// through it.
+func mapKQT(events []Event) time.Duration {
+	var launches []Event
+	for _, e := range events {
+		if e.Kind == KindLaunch {
+			launches = append(launches, e)
+		}
+	}
+	sort.Slice(launches, func(i, j int) bool { return launches[i].Start < launches[j].Start })
+	bySeq := make(map[int]Event, len(launches))
+	for _, l := range launches {
+		bySeq[l.Seq] = l
+	}
+	var kqt time.Duration
+	for _, e := range events {
+		if l, ok := bySeq[e.Seq]; ok && e.Kind == KindKernel {
+			if q := e.Start.Sub(l.End); q > 0 {
+				kqt += q
+			}
+		}
+	}
+	return kqt
+}
+
+// Property: matching kernels to launches by binary search over compact
+// records gives the map reference's KQT on random traces with graph-style
+// kernels sharing one launch, launches sharing a correlation id (some at
+// the same start), and kernels whose launch was never recorded.
+func TestPropertyKQTMatchesMap(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tr := New()
+		var seqs []int
+		for i, n := 0, rng.Intn(80); i < n; i++ {
+			start := rng.Int63n(2000)
+			end := start + rng.Int63n(40)
+			seq := tr.NextSeq()
+			if len(seqs) > 0 && rng.Intn(5) == 0 {
+				seq = seqs[rng.Intn(len(seqs))] // a shared correlation id
+				if rng.Intn(2) == 0 {
+					start, end = 500, 520 // and a tied start
+				}
+			}
+			seqs = append(seqs, seq)
+			if rng.Intn(6) > 0 {
+				tr.Record(ev(KindLaunch, start, end, seq))
+			}
+			for k := rng.Intn(4); k > 0; k-- {
+				ks := rng.Int63n(2500)
+				tr.Record(ev(KindKernel, ks, ks+rng.Int63n(50), seq))
+			}
+		}
+		if got, want := tr.Analyze().KQT, mapKQT(tr.Events()); got != want {
+			t.Fatalf("seed %d: KQT = %v, map reference %v", seed, got, want)
+		}
+	}
+}
+
 // Property: CDF is a valid distribution function for any sample set.
 func TestPropertyCDFValid(t *testing.T) {
 	f := func(raw []uint16) bool {
