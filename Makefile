@@ -58,6 +58,7 @@ FUZZ_TARGETS = \
 	./internal/serve:FuzzKVPool \
 	./internal/serve:FuzzServeTrace \
 	./internal/sim/eventq:FuzzQueue \
+	./internal/trace:FuzzTraceLog \
 	./internal/ccmode:FuzzByName \
 	./internal/batch:FuzzParseAxis \
 	./internal/cuda:FuzzPlatformByName \

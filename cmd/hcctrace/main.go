@@ -118,7 +118,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *events {
 		w := tabwriter.NewWriter(stdout, 0, 4, 2, ' ', 0)
 		fmt.Fprintln(w, "KIND\tNAME\tSTREAM\tSTART\tDURATION\tBYTES\tMANAGED")
-		for _, e := range rt.Tracer().Events() {
+		for e := range rt.Tracer().All() {
 			fmt.Fprintf(w, "%s\t%s\t%d\t%v\t%v\t%d\t%v\n",
 				e.Kind, e.Name, e.Stream, e.Start, e.Duration(), e.Bytes, e.Managed)
 		}

@@ -15,7 +15,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -84,6 +86,33 @@ func subtract(xs, ys []span) []span {
 	return normalize(out)
 }
 
+// seqSpan is a launch or kernel interval with its correlation id.
+type seqSpan struct {
+	span
+	seq int
+}
+
+func bySeq(a, b seqSpan) int { return cmp.Compare(a.seq, b.seq) }
+
+// queueGaps returns, for each kernel in order, the wait between its launch
+// returning and the kernel starting, when positive. A kernel matches the
+// launch with its correlation id, found by binary search over the launches
+// stably sorted by id, so among launches that share an id the last one in
+// record order is the match; a kernel with no launch has no gap. launches
+// is left as it was.
+func queueGaps(launches, kernels []seqSpan) []span {
+	sorted := slices.Clone(launches)
+	slices.SortStableFunc(sorted, bySeq)
+	var gaps []span
+	for _, k := range kernels {
+		i, _ := slices.BinarySearchFunc(sorted, seqSpan{seq: k.seq + 1}, bySeq)
+		if i > 0 && sorted[i-1].seq == k.seq && k.s > sorted[i-1].e {
+			gaps = append(gaps, span{sorted[i-1].e, k.s})
+		}
+	}
+	return gaps
+}
+
 // Model is the fitted Section V decomposition of one application run.
 type Model struct {
 	// Raw category totals (sums of durations, before overlap accounting).
@@ -112,8 +141,7 @@ type Model struct {
 // Decompose fits the model to a recorded trace.
 func Decompose(tr *trace.Tracer) Model {
 	m := Model{}
-	events := tr.Events()
-	if len(events) == 0 {
+	if tr.Len() == 0 {
 		return m
 	}
 	met := tr.Analyze()
@@ -130,39 +158,33 @@ func Decompose(tr *trace.Tracer) Model {
 	// and queuing (KQT gaps): a kernel's queue wait is often caused by a
 	// same-stream copy, and that time must be attributed to the copy, not
 	// double-counted as hidden kernel time.
-	var bSpans, cExec, cGaps, aSpans, dSpans []span
-	var launches []trace.Event
-	launchBySeq := make(map[int]trace.Event)
-	for _, e := range events {
+	var bSpans, cExec, aSpans, dSpans []span
+	launches := make([]seqSpan, 0, met.Launches)
+	kernels := make([]seqSpan, 0, met.Kernels)
+	for e := range tr.All() {
+		x := span{e.Start, e.End}
 		switch e.Kind {
 		case trace.KindLaunch:
-			bSpans = append(bSpans, span{e.Start, e.End})
-			launches = append(launches, e)
-			launchBySeq[e.Seq] = e
+			bSpans = append(bSpans, x)
+			launches = append(launches, seqSpan{x, e.Seq})
 		case trace.KindKernel:
-			cExec = append(cExec, span{e.Start, e.End})
+			cExec = append(cExec, x)
+			kernels = append(kernels, seqSpan{x, e.Seq})
 		case trace.KindMemcpyH2D, trace.KindMemcpyD2H, trace.KindMemcpyD2D:
-			aSpans = append(aSpans, span{e.Start, e.End})
+			aSpans = append(aSpans, x)
 		case trace.KindAlloc, trace.KindFree, trace.KindSync:
-			dSpans = append(dSpans, span{e.Start, e.End})
+			dSpans = append(dSpans, x)
 		}
 	}
-	for _, e := range events {
-		if e.Kind != trace.KindKernel {
-			continue
-		}
-		if l, ok := launchBySeq[e.Seq]; ok && e.Start > l.End {
-			cGaps = append(cGaps, span{l.End, e.Start})
-		}
-	}
+	cGaps := queueGaps(launches, kernels)
 	// LQT gaps join B — but only the parts not spent in other traced work,
 	// mirroring how the analyzer defines LQT. Without this cleaning, the
 	// gap spans would swallow copies and kernels and overstate B.
-	sort.Slice(launches, func(i, j int) bool { return launches[i].Start < launches[j].Start })
+	sort.Slice(launches, func(i, j int) bool { return launches[i].s < launches[j].s })
 	var rawGaps []span
 	for i := 1; i < len(launches); i++ {
-		if launches[i].Start > launches[i-1].End {
-			rawGaps = append(rawGaps, span{launches[i-1].End, launches[i].Start})
+		if launches[i].s > launches[i-1].e {
+			rawGaps = append(rawGaps, span{launches[i-1].e, launches[i].s})
 		}
 	}
 	otherWork := normalize(append(append(append([]span{}, cExec...), aSpans...), dSpans...))
@@ -188,17 +210,7 @@ func Decompose(tr *trace.Tracer) Model {
 	m.VisibleA = measure(aVisible)
 	m.VisibleD = measure(dVisible)
 
-	// Span of the whole run.
-	min, max := events[0].Start, events[0].End
-	for _, e := range events {
-		if e.Start < min {
-			min = e.Start
-		}
-		if e.End > max {
-			max = e.End
-		}
-	}
-	m.Total = max.Sub(min)
+	m.Total = tr.Span()
 	covered := m.VisibleB + m.VisibleC + m.VisibleA + m.VisibleD
 	if m.Total > covered {
 		m.Idle = m.Total - covered

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -31,6 +32,67 @@ func TestDecomposeEmptyTrace(t *testing.T) {
 	m := Decompose(trace.New())
 	if m.Total != 0 || m.Predict() != 0 {
 		t.Fatalf("empty trace gave %+v", m)
+	}
+}
+
+func TestDecomposeNilTracer(t *testing.T) {
+	if m := Decompose(nil); m != (Model{}) {
+		t.Fatalf("nil tracer gave %+v", m)
+	}
+}
+
+// mapQueueGaps is the reference for queueGaps: launches written into a map
+// by correlation id in record order, the last write winning, and each
+// kernel matched through it.
+func mapQueueGaps(launches, kernels []seqSpan) []span {
+	bySeq := make(map[int]seqSpan)
+	for _, l := range launches {
+		bySeq[l.seq] = l
+	}
+	var gaps []span
+	for _, k := range kernels {
+		if l, ok := bySeq[k.seq]; ok && k.s > l.e {
+			gaps = append(gaps, span{l.e, k.s})
+		}
+	}
+	return gaps
+}
+
+// Property: binary search over launches stably sorted by correlation id
+// finds the gaps of the map reference, on random traces with graph-style
+// kernels sharing one launch, launches sharing an id (some with a tied
+// start), and kernels whose launch was never recorded; the launches stay
+// in record order.
+func TestPropertyQueueGapsMatchMap(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var launches, kernels []seqSpan
+		for i, n := 0, rng.Intn(80); i < n; i++ {
+			start := sim.Time(rng.Int63n(2000))
+			end := start + sim.Time(rng.Int63n(40))
+			seq := i + 1
+			if i > 0 && rng.Intn(4) == 0 {
+				seq = rng.Intn(i) + 1 // an id shared with an earlier one
+				if rng.Intn(2) == 0 {
+					start, end = 500, 500+sim.Time(rng.Int63n(40)) // and a tied start
+				}
+			}
+			if rng.Intn(6) > 0 {
+				launches = append(launches, seqSpan{span{start, end}, seq})
+			}
+			for k := rng.Intn(4); k > 0; k-- {
+				ks := sim.Time(rng.Int63n(2500))
+				kernels = append(kernels, seqSpan{span{ks, ks + sim.Time(rng.Int63n(50))}, seq})
+			}
+		}
+		recordOrder := slices.Clone(launches)
+		got, want := queueGaps(launches, kernels), mapQueueGaps(launches, kernels)
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d: gaps %v, map reference %v", seed, got, want)
+		}
+		if !slices.Equal(launches, recordOrder) {
+			t.Fatalf("seed %d: queueGaps reordered the launches", seed)
+		}
 	}
 }
 

@@ -25,7 +25,7 @@ func run(t *testing.T, cc bool, body func(c *Context)) *Runtime {
 // durOf sums durations of events with the given API name.
 func durOf(rt *Runtime, name string) time.Duration {
 	var d time.Duration
-	for _, e := range rt.Tracer().Events() {
+	for e := range rt.Tracer().All() {
 		if e.Name == name {
 			d += e.Duration()
 		}
@@ -222,33 +222,38 @@ func TestRingThrottleCreatesLQT(t *testing.T) {
 	}
 }
 
-// TestLaunchSteadyStateAllocs launches past the ring window on an untraced
-// runtime, so every launch waits for the oldest in-flight kernel, and
-// counts allocations per launch once the window, the channel FIFO and the
-// command pools are warm. What remains is the kernel's completion signal
-// and the throttle's wait on the oldest one.
+// TestLaunchSteadyStateAllocs launches past the ring window, so every
+// launch waits for the oldest in-flight kernel, and counts allocations per
+// launch once the window, the channel FIFO, the command pools and the
+// signal wait lists are warm. What remains is the kernel's completion
+// signal. A traced runtime keeps the same bound: recording the launch and
+// the kernel into the trace log allocates nothing within a block.
 func TestLaunchSteadyStateAllocs(t *testing.T) {
-	for _, cc := range []bool{false, true} {
-		eng := sim.NewEngine()
-		rt := New(eng, DefaultConfig(cc))
-		rt.SetTracer(nil)
-		var allocs float64
-		eng.Spawn("host", func(p *sim.Proc) {
-			c := rt.Bind(p)
-			s := c.StreamCreate()
-			spec := gpu.KernelSpec{Name: "k", Fixed: 20 * time.Microsecond}
-			for i := 0; i < 4*rt.params.RingSlots; i++ {
-				c.Launch(spec, s)
+	for _, traced := range []bool{false, true} {
+		for _, cc := range []bool{false, true} {
+			eng := sim.NewEngine()
+			rt := New(eng, DefaultConfig(cc))
+			if !traced {
+				rt.SetTracer(nil)
 			}
-			allocs = testing.AllocsPerRun(1000, func() { c.Launch(spec, s) })
-			if n := len(s.window()); n != rt.params.RingSlots {
-				t.Errorf("cc=%v: window holds %d signals, want a full ring of %d", cc, n, rt.params.RingSlots)
+			var allocs float64
+			eng.Spawn("host", func(p *sim.Proc) {
+				c := rt.Bind(p)
+				s := c.StreamCreate()
+				spec := gpu.KernelSpec{Name: "k", Fixed: 20 * time.Microsecond}
+				for i := 0; i < 4*rt.params.RingSlots; i++ {
+					c.Launch(spec, s)
+				}
+				allocs = testing.AllocsPerRun(1000, func() { c.Launch(spec, s) })
+				if n := len(s.window()); n != rt.params.RingSlots {
+					t.Errorf("traced=%v cc=%v: window holds %d signals, want a full ring of %d", traced, cc, n, rt.params.RingSlots)
+				}
+				c.Sync()
+			})
+			eng.Run()
+			if allocs > 1 {
+				t.Errorf("traced=%v cc=%v: %.0f allocations per steady-state launch, want at most 1", traced, cc, allocs)
 			}
-			c.Sync()
-		})
-		eng.Run()
-		if allocs > 2 {
-			t.Errorf("cc=%v: %.0f allocations per steady-state launch, want at most 2", cc, allocs)
 		}
 	}
 }
@@ -477,12 +482,12 @@ func TestMemsetOnDeviceAndValidation(t *testing.T) {
 	})
 	// The fill itself is on-device: only the MMIO kick differs under CC.
 	var fb, fc time.Duration
-	for _, e := range base.Tracer().Events() {
+	for e := range base.Tracer().All() {
 		if e.Name == "cudaMemset" {
 			fb = e.Duration()
 		}
 	}
-	for _, e := range cc.Tracer().Events() {
+	for e := range cc.Tracer().All() {
 		if e.Name == "cudaMemset" {
 			fc = e.Duration()
 		}
@@ -673,7 +678,7 @@ func TestSetTracerNilKeepsTiming(t *testing.T) {
 				cc, end, fired, endNil, firedNil)
 		}
 		seen := map[string]bool{}
-		for _, e := range traced.Tracer().Events() {
+		for e := range traced.Tracer().All() {
 			seen[e.Name] = true
 		}
 		for _, site := range []string{"k", "ring", "memcpyAsync", "uvm-migrate", "uvm-prefetch", "uvm-writeback"} {

@@ -133,7 +133,7 @@ func TestGoldenPruneMix(t *testing.T) {
 			t.Fatalf("cc=%v: no window ever filled; the throttle went untested", cc)
 		}
 		fmt.Fprintf(&out, "mode %s end %v\n", rt.Mode().Name(), eng.Now())
-		for _, e := range rt.Tracer().Events() {
+		for e := range rt.Tracer().All() {
 			fmt.Fprintf(&out, "%s %s %d %d %d\n", e.Kind, e.Name, e.Stream, int64(e.Start), int64(e.End))
 		}
 	}

@@ -171,7 +171,7 @@ func TimelineEvents(app string, cc bool) ([]trace.Event, error) {
 	}
 	res := runWorkload(spec, workloads.CopyExecute, cc)
 	var out []trace.Event
-	for _, e := range res.Runtime.Tracer().Events() {
+	for e := range res.Runtime.Tracer().All() {
 		if e.Kind == trace.KindLaunch || e.Kind == trace.KindKernel {
 			out = append(out, e)
 		}

@@ -165,7 +165,7 @@ func Fig06AllocFree() Table {
 }
 
 func allocSplit(rt *cuda.Runtime) (hmalloc, dmalloc, free time.Duration) {
-	for _, e := range rt.Tracer().Events() {
+	for e := range rt.Tracer().All() {
 		switch e.Name {
 		case "cudaMallocHost":
 			hmalloc += e.Duration()
@@ -191,7 +191,7 @@ func managedAllocTimes() (allocRatio, freeRatio float64) {
 			c.Free(b)
 		})
 		eng.Run()
-		for _, e := range rt.Tracer().Events() {
+		for e := range rt.Tracer().All() {
 			switch {
 			case e.Name == "cudaMallocManaged":
 				alloc = e.Duration()

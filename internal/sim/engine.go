@@ -120,6 +120,10 @@ type Engine struct {
 	// Live non-daemon tasks, in spawn order, for the deadlock report.
 	liveProcs  []*Proc
 	liveActors []*Actor
+
+	// Emptied wait lists of fired signals, reused by the next Signal that
+	// gets a waiter. Per engine, since engines run concurrently.
+	spareWaits [][]waiter
 }
 
 // NewEngine returns a fresh engine with the clock at zero.

@@ -285,10 +285,28 @@ func (s *Signal) Fire() {
 	}
 	s.fired = true
 	s.at = s.eng.now
-	for _, w := range s.waiters {
+	ws := s.waiters
+	s.waiters = nil
+	for _, w := range ws {
 		s.eng.wakeWaiter(w)
 	}
-	s.waiters = nil
+	if ws != nil {
+		clear(ws)
+		s.eng.spareWaits = append(s.eng.spareWaits, ws[:0])
+	}
+}
+
+// park appends w to the signal's wait list, taking an empty list from the
+// engine's spares for the first waiter.
+func (s *Signal) park(w waiter) {
+	if s.waiters == nil {
+		if n := len(s.eng.spareWaits); n > 0 {
+			s.waiters = s.eng.spareWaits[n-1]
+			s.eng.spareWaits[n-1] = nil
+			s.eng.spareWaits = s.eng.spareWaits[:n-1]
+		}
+	}
+	s.waiters = append(s.waiters, w)
 }
 
 // Wait blocks p until the signal fires. Returns immediately if it already has.
@@ -296,7 +314,7 @@ func (s *Signal) Wait(p *Proc) {
 	if s.fired {
 		return
 	}
-	s.waiters = append(s.waiters, waiter{proc: p})
+	s.park(waiter{proc: p})
 	p.blockedOn = s.blockName
 	p.yield()
 }
@@ -309,7 +327,7 @@ func (s *Signal) WaitA(a *Actor, step func(any), state any) {
 		return
 	}
 	a.blockedOn = s.blockName
-	s.waiters = append(s.waiters, waiter{actor: a, fn: step, arg: state})
+	s.park(waiter{actor: a, fn: step, arg: state})
 }
 
 // WaitAll blocks p until every signal in sigs has fired.

@@ -44,7 +44,7 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 	m := t.Analyze()
 	rep := jsonReport{
 		SpanNS: int64(t.Span()),
-		Events: make([]jsonEvent, 0, len(t.events)),
+		Events: make([]jsonEvent, 0, t.Len()),
 		Summary: jsonSummary{
 			Launches: m.Launches, Kernels: m.Kernels,
 			KLONs: int64(m.KLO), LQTNs: int64(m.LQT),
@@ -53,7 +53,7 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 			AllocNs: int64(m.AllocTime), FreeNs: int64(m.FreeTime),
 		},
 	}
-	for _, e := range t.events {
+	for e := range t.All() {
 		rep.Events = append(rep.Events, jsonEvent{
 			Kind: e.Kind.String(), Name: e.Name, Stream: e.Stream,
 			StartNS: int64(e.Start), EndNS: int64(e.End),

@@ -17,21 +17,12 @@ func (t *Tracer) Gantt(w io.Writer, width int) error {
 	if width < 20 {
 		width = 20
 	}
-	if len(t.events) == 0 {
+	if t.Len() == 0 {
 		_, err := fmt.Fprintln(w, "(empty trace)")
 		return err
 	}
-	var min, max sim.Time
-	min, max = t.events[0].Start, t.events[0].End
-	for _, e := range t.events {
-		if e.Start < min {
-			min = e.Start
-		}
-		if e.End > max {
-			max = e.End
-		}
-	}
-	span := max.Sub(min)
+	origin, end := t.bounds()
+	span := end.Sub(origin)
 	if span <= 0 {
 		span = time.Nanosecond
 	}
@@ -54,7 +45,7 @@ func (t *Tracer) Gantt(w io.Writer, width int) error {
 	}
 
 	col := func(ts sim.Time) int {
-		c := int(float64(ts.Sub(min)) / float64(span) * float64(width))
+		c := int(float64(ts.Sub(origin)) / float64(span) * float64(width))
 		if c >= width {
 			c = width - 1
 		}
@@ -70,7 +61,7 @@ func (t *Tracer) Gantt(w io.Writer, width int) error {
 			row[i] = '.'
 		}
 		used := false
-		for _, e := range t.events {
+		for e := range t.All() {
 			if !ln.match(e) {
 				continue
 			}
@@ -100,7 +91,7 @@ type Utilization struct {
 
 // Utilize computes category utilizations over the trace span.
 func (t *Tracer) Utilize() Utilization {
-	if len(t.events) == 0 {
+	if t.Len() == 0 {
 		return Utilization{}
 	}
 	span := t.Span()
@@ -110,7 +101,7 @@ func (t *Tracer) Utilize() Utilization {
 	cover := func(match func(Event) bool) float64 {
 		type iv struct{ s, e sim.Time }
 		var ivs []iv
-		for _, e := range t.events {
+		for e := range t.All() {
 			if match(e) {
 				ivs = append(ivs, iv{e.Start, e.End})
 			}

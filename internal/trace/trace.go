@@ -4,11 +4,17 @@
 // them — Kernel Launch Overhead (KLO), Launch Queuing Time (LQT), Kernel
 // Queuing Time (KQT), and Kernel Execution Time (KET) — exactly as defined
 // in Section V of the paper.
+//
+// Events are stored in a compact block log that recording never copies and
+// the garbage collector never scans; readers go through All, which rebuilds
+// each Event in record order, and Len.
 package trace
 
 import (
 	"cmp"
 	"fmt"
+	"iter"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -62,20 +68,49 @@ func (e Event) Duration() time.Duration { return e.End.Sub(e.Start) }
 
 // Tracer records events. Recording is not safe for concurrent use; the
 // simulator is single-threaded by construction. Once recording has stopped,
-// any number of goroutines may call Analyze concurrently (figure workers
-// share finished runs): the analysis is computed once and cached until the
-// next Record, so callers must treat the returned KLOs and KETs as
-// read-only. A nil *Tracer records nothing: Record and NextSeq return 0, so
-// a run that never reads its trace (the serving loop, the nn models) skips
-// the recording cost without guards at each site.
+// any number of goroutines may read the trace (All, Len, Analyze)
+// concurrently (figure workers share finished runs): the analysis is
+// computed once and cached until the next Record, so callers must treat
+// the returned KLOs and KETs as read-only. A nil *Tracer records nothing:
+// Record and NextSeq return 0, so a run that never reads its trace (the
+// serving loop, the nn models) skips the recording cost without guards at
+// each site.
+//
+// The log is a list of blocks of compact, pointer-free records: blocks
+// double from firstBlock records up to blockLen, and every later block
+// holds blockLen. A recorded event is never moved, so recording never
+// copies the log, and the garbage collector never scans it. Event names are
+// interned into a per-tracer table; each record holds an index into it.
 type Tracer struct {
-	events []Event
+	blocks [][]record
+	n      int // records across all blocks
 	seq    int
 
+	names   []string // interned names; index 0 is ""
+	nameIdx map[string]uint32
+
 	mu        sync.Mutex
-	analyzed  *Metrics // analysis of events[:analyzedN], nil before the first
+	analyzed  *Metrics // analysis of the first analyzedN records, nil before the first
 	analyzedN int
 }
+
+// record is the stored form of an Event: 48 bytes with no pointers.
+type record struct {
+	start, end sim.Time
+	bytes      int64
+	seq        int
+	stream     int32
+	name       uint32 // index into Tracer.names
+	kind       uint8
+	managed    bool
+}
+
+// Block sizes of the log: the first block holds firstBlock records, each
+// next one twice as many, up to blockLen.
+const (
+	firstBlock = 16
+	blockLen   = 1024
+)
 
 // New returns an empty tracer.
 func New() *Tracer { return &Tracer{} }
@@ -83,7 +118,8 @@ func New() *Tracer { return &Tracer{} }
 // Record appends an event and returns its sequence number. An event that
 // ends before it starts panics, even on a nil tracer: it indicates a
 // broken model, and silently storing it would corrupt every downstream
-// decomposition.
+// decomposition. So does a Kind outside 0..255 or a Stream outside int32,
+// which the compact log cannot hold.
 func (t *Tracer) Record(e Event) int {
 	if e.End < e.Start {
 		panic(fmt.Sprintf("trace: event %s ends before it starts (%v < %v)", e.Kind, e.End, e.Start))
@@ -91,12 +127,66 @@ func (t *Tracer) Record(e Event) int {
 	if t == nil {
 		return 0
 	}
+	if uint(e.Kind) > math.MaxUint8 || int(int32(e.Stream)) != e.Stream {
+		panic(fmt.Sprintf("trace: event %s on stream %d does not fit the log", e.Kind, e.Stream))
+	}
 	t.seq++
 	if e.Seq == 0 {
 		e.Seq = t.seq
 	}
-	t.events = append(t.events, e)
+	b := t.tail()
+	*b = append(*b, record{
+		start: e.Start, end: e.End, bytes: e.Bytes, seq: e.Seq,
+		stream: int32(e.Stream), name: t.intern(e.Name),
+		kind: uint8(e.Kind), managed: e.Managed,
+	})
+	t.n++
 	return e.Seq
+}
+
+// tail returns the block the next record goes into, starting a new one
+// when the last is full. Appending to the result never reallocates it.
+func (t *Tracer) tail() *[]record {
+	if k := len(t.blocks); k > 0 && len(t.blocks[k-1]) < cap(t.blocks[k-1]) {
+		return &t.blocks[k-1]
+	}
+	size := firstBlock
+	if k := len(t.blocks); k > 0 {
+		size = min(2*cap(t.blocks[k-1]), blockLen)
+	}
+	t.blocks = append(t.blocks, make([]record, 0, size))
+	return &t.blocks[len(t.blocks)-1]
+}
+
+// intern returns the index of name in the tracer's name table, adding it
+// on first use.
+func (t *Tracer) intern(name string) uint32 {
+	if name == "" {
+		return 0
+	}
+	if i, ok := t.nameIdx[name]; ok {
+		return i
+	}
+	if t.nameIdx == nil {
+		t.nameIdx = make(map[string]uint32)
+		t.names = []string{""}
+	}
+	i := uint32(len(t.names))
+	t.names = append(t.names, name)
+	t.nameIdx[name] = i
+	return i
+}
+
+// event rebuilds the Event a record was made from.
+func (t *Tracer) event(r *record) Event {
+	e := Event{
+		Kind: Kind(r.kind), Stream: int(r.stream),
+		Start: r.start, End: r.end, Bytes: r.bytes, Managed: r.managed, Seq: r.seq,
+	}
+	if r.name != 0 {
+		e.Name = t.names[r.name]
+	}
+	return e
 }
 
 // NextSeq reserves a correlation id without recording, so a launch and its
@@ -109,13 +199,35 @@ func (t *Tracer) NextSeq() int {
 	return t.seq
 }
 
-// Events returns all recorded events in record order.
-func (t *Tracer) Events() []Event { return t.events }
+// Len returns the number of recorded events; 0 on a nil tracer.
+func (t *Tracer) Len() int {
+	if t == nil {
+		return 0
+	}
+	return t.n
+}
+
+// All iterates the recorded events in record order. It yields nothing on a
+// nil tracer.
+func (t *Tracer) All() iter.Seq[Event] {
+	return func(yield func(Event) bool) {
+		if t == nil {
+			return
+		}
+		for _, b := range t.blocks {
+			for i := range b {
+				if !yield(t.event(&b[i])) {
+					return
+				}
+			}
+		}
+	}
+}
 
 // OfKind returns events of kind k, in record order.
 func (t *Tracer) OfKind(k Kind) []Event {
 	var out []Event
-	for _, e := range t.events {
+	for e := range t.All() {
 		if e.Kind == k {
 			out = append(out, e)
 		}
@@ -125,19 +237,22 @@ func (t *Tracer) OfKind(k Kind) []Event {
 
 // Span returns the wall-clock extent of the trace (first start to last end).
 func (t *Tracer) Span() time.Duration {
-	if len(t.events) == 0 {
+	if t.Len() == 0 {
 		return 0
 	}
-	min, max := t.events[0].Start, t.events[0].End
-	for _, e := range t.events {
-		if e.Start < min {
-			min = e.Start
-		}
-		if e.End > max {
-			max = e.End
+	lo, hi := t.bounds()
+	return hi.Sub(lo)
+}
+
+// bounds returns the earliest start and latest end of a non-empty trace.
+func (t *Tracer) bounds() (lo, hi sim.Time) {
+	lo, hi = t.blocks[0][0].start, t.blocks[0][0].end
+	for _, b := range t.blocks {
+		for i := range b {
+			lo, hi = min(lo, b[i].start), max(hi, b[i].end)
 		}
 	}
-	return max.Sub(min)
+	return lo, hi
 }
 
 // Metrics are the per-application aggregates of the paper's Section V model
@@ -168,19 +283,23 @@ type Metrics struct {
 
 // Analyze extracts Metrics from the trace. The result is cached while no
 // event is recorded, so repeated calls cost nothing; its KLOs and KETs are
-// shared between calls and must not be modified.
+// shared between calls and must not be modified. A nil tracer analyzes as
+// empty.
 func (t *Tracer) Analyze() Metrics {
+	if t == nil {
+		return Metrics{}
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.analyzed == nil || t.analyzedN != len(t.events) {
+	if t.analyzed == nil || t.analyzedN != t.n {
 		m := t.analyze()
-		t.analyzed, t.analyzedN = &m, len(t.events)
+		t.analyzed, t.analyzedN = &m, t.n
 	}
 	return *t.analyzed
 }
 
-// interval is the part of an event the LQT and KQT passes read: 24 bytes
-// to sort and scan instead of a 72-byte Event.
+// interval is the part of a record the LQT and KQT passes read: 24 bytes
+// to sort and scan instead of a 48-byte record.
 type interval struct {
 	start, end sim.Time
 	seq        int
@@ -193,15 +312,17 @@ func bySeq(a, b interval) int { return cmp.Compare(a.seq, b.seq) }
 func (t *Tracer) analyze() Metrics {
 	var m Metrics
 	var nBusy int
-	for _, e := range t.events {
-		switch e.Kind {
-		case KindLaunch:
-			m.Launches++
-			nBusy++
-		case KindKernel:
-			m.Kernels++
-		case KindMemcpyH2D, KindMemcpyD2H, KindMemcpyD2D, KindAlloc, KindFree, KindSync:
-			nBusy++
+	for _, b := range t.blocks {
+		for i := range b {
+			switch Kind(b[i].kind) {
+			case KindLaunch:
+				m.Launches++
+				nBusy++
+			case KindKernel:
+				m.Kernels++
+			case KindMemcpyH2D, KindMemcpyD2H, KindMemcpyD2D, KindAlloc, KindFree, KindSync:
+				nBusy++
+			}
 		}
 	}
 	if m.Launches > 0 {
@@ -213,40 +334,42 @@ func (t *Tracer) analyze() Metrics {
 	launches := make([]interval, 0, m.Launches)
 	kernels := make([]interval, 0, m.Kernels)
 	busy := make([]interval, 0, nBusy) // host-side API events for gap accounting
-	for _, e := range t.events {
-		iv := interval{e.Start, e.End, e.Seq}
-		switch e.Kind {
-		case KindLaunch:
-			m.KLO += e.Duration()
-			m.KLOs = append(m.KLOs, e.Duration())
-			launches = append(launches, iv)
-			busy = append(busy, iv)
-		case KindKernel:
-			m.KET += e.Duration()
-			m.KETs = append(m.KETs, e.Duration())
-			kernels = append(kernels, iv)
-		case KindMemcpyH2D:
-			m.CopyH2D += e.Duration()
-			busy = append(busy, iv)
-		case KindMemcpyD2H:
-			m.CopyD2H += e.Duration()
-			busy = append(busy, iv)
-		case KindMemcpyD2D:
-			m.CopyD2D += e.Duration()
-			busy = append(busy, iv)
-		case KindAlloc:
-			m.AllocTime += e.Duration()
-			busy = append(busy, iv)
-		case KindFree:
-			m.FreeTime += e.Duration()
-			busy = append(busy, iv)
-		case KindSync:
-			m.SyncTime += e.Duration()
-			busy = append(busy, iv)
-		}
-		if e.Kind == KindMemcpyH2D || e.Kind == KindMemcpyD2H || e.Kind == KindMemcpyD2D {
-			if e.Managed {
-				m.ManagedCopy += e.Duration()
+	for _, b := range t.blocks {
+		for i := range b {
+			r := &b[i]
+			iv := interval{r.start, r.end, r.seq}
+			d := r.end.Sub(r.start)
+			switch Kind(r.kind) {
+			case KindLaunch:
+				m.KLO += d
+				m.KLOs = append(m.KLOs, d)
+				launches = append(launches, iv)
+				busy = append(busy, iv)
+			case KindKernel:
+				m.KET += d
+				m.KETs = append(m.KETs, d)
+				kernels = append(kernels, iv)
+			case KindMemcpyH2D:
+				m.CopyH2D += d
+				busy = append(busy, iv)
+			case KindMemcpyD2H:
+				m.CopyD2H += d
+				busy = append(busy, iv)
+			case KindMemcpyD2D:
+				m.CopyD2D += d
+				busy = append(busy, iv)
+			case KindAlloc:
+				m.AllocTime += d
+				busy = append(busy, iv)
+			case KindFree:
+				m.FreeTime += d
+				busy = append(busy, iv)
+			case KindSync:
+				m.SyncTime += d
+				busy = append(busy, iv)
+			}
+			if r.managed && (r.kind == uint8(KindMemcpyH2D) || r.kind == uint8(KindMemcpyD2H) || r.kind == uint8(KindMemcpyD2D)) {
+				m.ManagedCopy += d
 			}
 		}
 	}

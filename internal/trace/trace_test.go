@@ -2,14 +2,17 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"hccsim/internal/sim"
 )
@@ -25,8 +28,8 @@ func TestRecordAssignsSeq(t *testing.T) {
 	if s1 == s2 || s1 == 0 {
 		t.Fatalf("seq not unique: %d %d", s1, s2)
 	}
-	if len(tr.Events()) != 2 {
-		t.Fatalf("events = %d", len(tr.Events()))
+	if tr.Len() != 2 {
+		t.Fatalf("events = %d", tr.Len())
 	}
 }
 
@@ -275,7 +278,7 @@ func TestPropertyLQTMatchesBruteForce(t *testing.T) {
 			}
 			tr.Record(ev(kinds[rng.Intn(len(kinds))], start, start+dur, 0))
 		}
-		if got, want := tr.Analyze().LQT, bruteForceLQT(tr.Events()); got != want {
+		if got, want := tr.Analyze().LQT, bruteForceLQT(slices.Collect(tr.All())); got != want {
 			t.Fatalf("seed %d: LQT = %v, brute force %v", seed, got, want)
 		}
 	}
@@ -335,7 +338,7 @@ func TestPropertyKQTMatchesMap(t *testing.T) {
 				tr.Record(ev(KindKernel, ks, ks+rng.Int63n(50), seq))
 			}
 		}
-		if got, want := tr.Analyze().KQT, mapKQT(tr.Events()); got != want {
+		if got, want := tr.Analyze().KQT, mapKQT(slices.Collect(tr.All())); got != want {
 			t.Fatalf("seed %d: KQT = %v, map reference %v", seed, got, want)
 		}
 	}
@@ -493,21 +496,28 @@ func TestAnalyzeZeroValueAndLoaded(t *testing.T) {
 	}
 }
 
-// Figure workers analyze shared finished runs concurrently; run under
-// -race, this holds the cache to that contract.
+// Figure workers analyze and read shared finished runs concurrently; run
+// under -race, this holds the cache and the log to that contract.
 func TestAnalyzeConcurrent(t *testing.T) {
 	tr := New()
-	mixedTrace(tr, 0, 200)
+	mixedTrace(tr, 0, 600)
 	ref := New()
-	mixedTrace(ref, 0, 200)
-	want := ref.Analyze()
+	mixedTrace(ref, 0, 600)
+	want, wantEvents := ref.Analyze(), slices.Collect(ref.All())
 	got := make([]Metrics, 8)
+	gotEvents := make([][]Event, 8)
 	var wg sync.WaitGroup
 	for i := range got {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i] = tr.Analyze()
+			if i%2 == 0 {
+				got[i] = tr.Analyze()
+				gotEvents[i] = slices.Collect(tr.All())
+			} else {
+				gotEvents[i] = slices.Collect(tr.All())
+				got[i] = tr.Analyze()
+			}
 		}(i)
 	}
 	wg.Wait()
@@ -515,5 +525,184 @@ func TestAnalyzeConcurrent(t *testing.T) {
 		if !reflect.DeepEqual(m, want) {
 			t.Fatalf("goroutine %d: %+v, want %+v", i, m, want)
 		}
+		if !slices.Equal(gotEvents[i], wantEvents) {
+			t.Fatalf("goroutine %d: All yields %d events, want %d, or differs in content", i, len(gotEvents[i]), len(wantEvents))
+		}
+	}
+}
+
+// FuzzTraceLog decodes the input into events, records them, and holds the
+// log to the input and the analysis to the reference LQT and KQT.
+func FuzzTraceLog(f *testing.F) {
+	f.Add([]byte{5, 0, 0, 10, 4, 1, 0, 6, 0, 12, 20, 1, 0, 0})
+	f.Add(bytes.Repeat([]byte{2, 255, 7, 3, 9, 0, 3, 129, 1, 4}, 40))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const size = 7 // bytes per event
+		// Past the first few blocks a longer log adds nothing but time to
+		// the quadratic references and to minimizing.
+		data = data[:min(len(data), 8*firstBlock*size)]
+		tr := New()
+		var want []Event
+		for ; len(data) >= size; data = data[size:] {
+			e := Event{
+				Kind:    Kind(data[0] % byte(len(kindNames))),
+				Stream:  int(int8(data[1])),
+				Start:   sim.Time(uint16(data[2])<<8 | uint16(data[3])),
+				Bytes:   int64(data[5]) << (data[5] % 56),
+				Managed: data[6]&1 != 0,
+				Seq:     int(data[6] >> 4), // 0: a fresh id; else shared
+			}
+			e.End = e.Start + sim.Time(data[4])
+			if n := data[6] >> 1 & 7; n > 0 {
+				e.Name = fmt.Sprintf("n%d", n)
+			}
+			e.Seq = tr.Record(e)
+			want = append(want, e)
+		}
+		if got := slices.Collect(tr.All()); !slices.Equal(got, want) {
+			t.Fatalf("All yields %v, want %v", got, want)
+		}
+		if tr.Len() != len(want) {
+			t.Fatalf("Len = %d, want %d", tr.Len(), len(want))
+		}
+		m := tr.Analyze()
+		if lqt := bruteForceLQT(want); m.LQT != lqt {
+			t.Fatalf("LQT = %v, brute force %v", m.LQT, lqt)
+		}
+		if kqt := mapKQT(want); m.KQT != kqt {
+			t.Fatalf("KQT = %v, map reference %v", m.KQT, kqt)
+		}
+	})
+}
+
+// logEvent is the i-th event of a trace that exercises every field of the
+// compact log: every Kind, stream -1, managed copies, payloads past 32 bits
+// and a few hundred distinct names (some empty). Pairs of events share a
+// correlation id.
+func logEvent(i int) Event {
+	e := Event{
+		Kind:    Kind(i % len(kindNames)),
+		Stream:  i%5 - 1,
+		Start:   sim.Time(i * 10),
+		End:     sim.Time(i*10 + i%7),
+		Bytes:   int64(i) << 33,
+		Managed: i%3 == 0,
+		Seq:     i / 2,
+	}
+	if i%4 != 0 {
+		e.Name = fmt.Sprintf("k%d", i%301)
+	}
+	return e
+}
+
+// recordN records logEvents from..from+n-1 into tr and returns them as
+// recorded, each with the Seq that Record returned.
+func recordN(tr *Tracer, from, n int) []Event {
+	var want []Event
+	for i := from; i < from+n; i++ {
+		e := logEvent(i)
+		e.Seq = tr.Record(e)
+		want = append(want, e)
+	}
+	return want
+}
+
+// All yields exactly what was recorded, in record order, for lengths on
+// both sides of every block boundary up to several full blocks.
+func TestAllYieldsRecordedInOrder(t *testing.T) {
+	lens := []int{0, 1, blockLen - 1, blockLen, blockLen + 1, 4*blockLen + 3}
+	for edge, size := 0, firstBlock; edge < 3*blockLen; size = min(2*size, blockLen) {
+		edge += size
+		lens = append(lens, edge-1, edge, edge+1)
+	}
+	for _, n := range lens {
+		tr := New()
+		want := recordN(tr, 0, n)
+		got := slices.Collect(tr.All())
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d: All yields %d events, want %d, or differs in content", n, len(got), len(want))
+		}
+		if tr.Len() != n {
+			t.Fatalf("n=%d: Len = %d", n, tr.Len())
+		}
+	}
+}
+
+// Recorded events are never moved: a record keeps its address however many
+// more are recorded after it, and only the first blocks are short.
+func TestBlocksNeverMove(t *testing.T) {
+	if size := unsafe.Sizeof(record{}); size != 48 {
+		t.Fatalf("record is %d bytes, want 48", size)
+	}
+	tr := New()
+	recordN(tr, 0, 1)
+	first := &tr.blocks[0][0]
+	recordN(tr, 1, 5*blockLen)
+	if &tr.blocks[0][0] != first {
+		t.Fatal("the first record moved")
+	}
+	for i, b := range tr.blocks {
+		if want := min(firstBlock<<i, blockLen); cap(b) != want {
+			t.Fatalf("block %d holds %d records, want %d", i, cap(b), want)
+		}
+	}
+}
+
+func TestNilTracerReadsEmpty(t *testing.T) {
+	var tr *Tracer
+	if tr.Len() != 0 {
+		t.Fatalf("nil Len = %d", tr.Len())
+	}
+	for e := range tr.All() {
+		t.Fatalf("nil All yields %+v", e)
+	}
+	if m := tr.Analyze(); !reflect.DeepEqual(m, Metrics{}) {
+		t.Fatalf("nil Analyze = %+v", m)
+	}
+	if tr.Span() != 0 {
+		t.Fatalf("nil Span = %v", tr.Span())
+	}
+}
+
+// An analysis cached while the last block is full is recomputed after a
+// Record that starts the next block.
+func TestAnalyzeRecomputedAcrossBlockBoundary(t *testing.T) {
+	tr := New()
+	n := 0 // mixedTrace steps, four events each
+	for full := false; !full; n++ {
+		mixedTrace(tr, n, 1)
+		last := tr.blocks[len(tr.blocks)-1]
+		full = len(tr.blocks) >= 3 && len(last) == cap(last)
+	}
+	blocks := len(tr.blocks)
+	before := tr.Analyze()
+	mixedTrace(tr, n, 1)
+	if len(tr.blocks) != blocks+1 {
+		t.Fatalf("Record did not start a new block: %d blocks, want %d", len(tr.blocks), blocks+1)
+	}
+	fresh := New()
+	mixedTrace(fresh, 0, n+1)
+	got, want := tr.Analyze(), fresh.Analyze()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Analyze after crossing a block:\n%+v\nfresh tracer:\n%+v", got, want)
+	}
+	if got.Launches != before.Launches+1 {
+		t.Fatalf("launches %d then %d, want one more", before.Launches, got.Launches)
+	}
+}
+
+// Recording into a block that has room allocates nothing, names included.
+func TestRecordSteadyStateAllocatesNothing(t *testing.T) {
+	tr := New()
+	evs := recordN(tr, 0, blockLen+1) // past the short blocks; every name interned
+	i := 0
+	if n := testing.AllocsPerRun(blockLen/2, func() {
+		tr.Record(evs[i])
+		i++
+	}); n != 0 {
+		t.Fatalf("Record allocates %.1f times per call within a block, want 0", n)
+	}
+	if len(tr.names) != 301+1 { // logEvent's names and ""
+		t.Fatalf("name table holds %d names, want each of 301 once plus the empty name", len(tr.names))
 	}
 }
