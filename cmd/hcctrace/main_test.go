@@ -21,7 +21,7 @@ func runTrace(t *testing.T, args ...string) (code int, stdout, stderr string) {
 // TestGoldenOutput pins the CLI's stdout byte for byte: the application
 // list, the default report under a protection mode, the event dump, a UVM
 // Gantt timeline, the span summary, and the JSON and Chrome traces written
-// to stdout.
+// to stdout (one of them a UVM run's, with its paging track).
 func TestGoldenOutput(t *testing.T) {
 	cases := []struct {
 		golden string
@@ -34,6 +34,7 @@ func TestGoldenOutput(t *testing.T) {
 		{"3dconv-summary", []string{"-app", "3dconv", "-summary", "-mode", "tee-io-direct"}},
 		{"atax-json", []string{"-app", "atax", "-json", "-"}},
 		{"bicg-trace", []string{"-app", "bicg", "-trace", "-"}},
+		{"2dconv-uvm-trace", []string{"-app", "2dconv", "-uvm", "-trace", "-"}},
 	}
 	for _, c := range cases {
 		t.Run(c.golden, func(t *testing.T) {

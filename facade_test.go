@@ -184,3 +184,76 @@ func TestSystemObserve(t *testing.T) {
 		t.Errorf("chrome trace missing expected content:\n%s", trace)
 	}
 }
+
+// TestGoldenTwoStreamRecorder pins both views of one observed run whose
+// activities end in a different order than they begin: async copies and
+// kernels on two streams (so two device channels), a blocking copy, and a
+// managed range that is prefetched, faulted in by a kernel and written
+// back. The Chrome export lists spans in begin order and the Nsight JSON
+// lists events in completion order, so the two goldens hold both orders.
+// Regenerate after an intended change with:
+//
+//	go test . -run GoldenTwoStreamRecorder -update
+func TestGoldenTwoStreamRecorder(t *testing.T) {
+	cfg, err := Configure(Spec{Mode: "tdx-h100"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := NewSystem(cfg)
+	o := sys.Observe()
+	sys.Run(func(c *Context) {
+		const n = 1 << 20
+		h := c.MallocHost("host", 2*n)
+		d1, d2 := c.Malloc("d1", n), c.Malloc("d2", n)
+		s1, s2 := c.StreamCreate(), c.StreamCreate()
+		k := func(name string) KernelSpec {
+			return KernelSpec{Name: name, FLOPs: 1e8, MemBytes: n, Blocks: 256, ThreadsPerBlock: 256}
+		}
+		c.MemcpyAsync(d1, h, n, s1)
+		c.MemcpyAsync(d2, h, n, s2)
+		c.Launch(k("k1"), s1)
+		c.Launch(k("k2"), s2)
+		c.MemcpyAsync(h, d1, n, s1)
+		c.Launch(k("k3"), s2)
+		m := c.MallocManaged("managed", 2*n)
+		c.Prefetch(m, n)
+		mk := k("km")
+		mk.Managed = []ManagedAccess{{Range: m.Managed(), Bytes: 2 * n}}
+		c.Launch(mk, s1)
+		c.Memcpy(d2, h, n)
+		c.Sync()
+		c.HostTouch(m, n)
+		c.Free(d1)
+		c.Free(d2)
+		c.Free(m)
+	})
+	if n := o.Open(); n != 0 {
+		t.Fatalf("%d spans still open after the run", n)
+	}
+	var nsight bytes.Buffer
+	if err := sys.Tracer().WriteJSON(&nsight); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []struct {
+		file string
+		got  []byte
+	}{
+		{"two-stream.chrome.json", o.ChromeTrace()},
+		{"two-stream.nsight.json", nsight.Bytes()},
+	} {
+		path := filepath.Join("testdata", g.file)
+		if *update {
+			if err := os.WriteFile(path, g.got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing golden (run with -update): %v", err)
+		}
+		if !bytes.Equal(g.got, want) {
+			t.Errorf("%s drifted (%d vs %d bytes); rerun with -update if intentional", path, len(g.got), len(want))
+		}
+	}
+}
