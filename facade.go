@@ -171,9 +171,7 @@ func (s *System) RunE(app func(c *Context)) (time.Duration, error) {
 		app(s.rt.Bind(p))
 	})
 	end := s.eng.Run()
-	if s.obs != nil {
-		s.rt.PublishMetrics()
-	}
+	s.rt.PublishMetrics()
 	return end.Sub(start), nil
 }
 

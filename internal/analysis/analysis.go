@@ -130,7 +130,9 @@ func (p *Pass) ReportFix(pos token.Pos, fix SuggestedFix, format string, args ..
 
 // DeterministicPackages are the packages every REPORT.md figure re-derives
 // through: any wall-clock or iteration-order dependence here silently
-// changes published numbers. internal/swcrypto is included because its
+// changes published numbers. That includes internal/trace, the analyzer
+// behind every published KLO/LQT/KQT/KET, and each layer that records into
+// it. internal/swcrypto is included because its
 // calibration tables feed fig4a/fig4b; its explicitly wall-clock Measure*
 // entry points are the one sanctioned boundary (see Nondeterminism).
 var DeterministicPackages = map[string]bool{
@@ -146,6 +148,13 @@ var DeterministicPackages = map[string]bool{
 	"hccsim/internal/uvm":        true,
 	"hccsim/internal/swcrypto":   true,
 	"hccsim/internal/platform":   true,
+	"hccsim/internal/trace":      true,
+	"hccsim/internal/cuda":       true,
+	"hccsim/internal/gpu":        true,
+	"hccsim/internal/tdx":        true,
+	"hccsim/internal/pcie":       true,
+	"hccsim/internal/nn":         true,
+	"hccsim/internal/workloads":  true,
 }
 
 // Classify derives the scope flags for a package import path.

@@ -88,8 +88,10 @@ func TestClassify(t *testing.T) {
 		{"hccsim/internal/sim", true, true},
 		{"hccsim/internal/batch", true, true},
 		{"hccsim/internal/swcrypto", true, true},
-		{"hccsim/internal/cuda", false, true},
-		{"hccsim/internal/tdx", false, true},
+		{"hccsim/internal/trace", true, true},
+		{"hccsim/internal/cuda", true, true},
+		{"hccsim/internal/hbm", false, true},
+		{"hccsim/internal/tab", false, true},
 		{"hccsim/cmd/hccsweep", false, false},
 		{"hccsim/examples/quickstart", false, false},
 	}

@@ -97,11 +97,7 @@ type pipeFrame struct {
 
 // pipeSpan opens one pipeline-stage span on the companion DMA track.
 func pipeSpan(port Port, name string, bytes int64) obs.Span {
-	o := port.Observer()
-	if o == nil {
-		return obs.Span{}
-	}
-	return o.Track("ccmode-pipelined-dma").Begin(name).Bytes(bytes)
+	return port.Observer().Track("ccmode-pipelined-dma").Begin(name).Bytes(bytes)
 }
 
 // TransferA implements Mode: the CPS form of the two-stage pipeline. The

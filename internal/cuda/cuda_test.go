@@ -234,7 +234,7 @@ func TestLaunchSteadyStateAllocs(t *testing.T) {
 			eng := sim.NewEngine()
 			rt := New(eng, DefaultConfig(cc))
 			if !traced {
-				rt.SetTracer(nil)
+				rt.SetObserver(nil)
 			}
 			var allocs float64
 			eng.Spawn("host", func(p *sim.Proc) {
@@ -624,16 +624,16 @@ func TestWaitEventUnrecordedPanics(t *testing.T) {
 	})
 }
 
-// TestSetTracerNilKeepsTiming runs one program over every recording site
+// TestSetObserverNilKeepsTiming runs one program over every recording site
 // (alloc, sync and async copies, kernel and graph launches, UVM migrate,
-// prefetch and write-back) with and without a tracer: dropping the trace
+// prefetch and write-back) with and without a recorder: dropping the trace
 // must leave the simulated clock and the event count untouched. It includes
 // the nn training iteration's shape — more launches on a created stream
 // than its ring holds, then a device sync and a blocking copy — because the
 // nn models run untraced. Each blocking copy here has its own size: an
 // untraced run replays a repeated copy's learned cost (memcpyKicked), which
 // fires fewer events by design.
-func TestSetTracerNilKeepsTiming(t *testing.T) {
+func TestSetObserverNilKeepsTiming(t *testing.T) {
 	body := func(c *Context) {
 		h := c.MallocHost("h", 8<<20)
 		d := c.Malloc("d", 8<<20)
@@ -664,7 +664,7 @@ func TestSetTracerNilKeepsTiming(t *testing.T) {
 		eng := sim.NewEngine()
 		rt := New(eng, DefaultConfig(cc))
 		if !traced {
-			rt.SetTracer(nil)
+			rt.SetObserver(nil)
 		}
 		eng.Spawn("host", func(p *sim.Proc) { body(rt.Bind(p)) })
 		eng.Run()
@@ -687,7 +687,7 @@ func TestSetTracerNilKeepsTiming(t *testing.T) {
 			}
 		}
 		if untraced.Tracer() != nil {
-			t.Errorf("cc=%v: Tracer() after SetTracer(nil) is non-nil", cc)
+			t.Errorf("cc=%v: Tracer() after SetObserver(nil) is non-nil", cc)
 		}
 	}
 }

@@ -78,7 +78,7 @@ func (c *Context) Memset(b *Buffer, bytes int64) {
 	if bytes <= 0 || bytes > b.size {
 		panic(fmt.Sprintf("cuda: Memset of %d bytes on %d-byte buffer", bytes, b.size))
 	}
-	start := int64(c.p.Now())
+	start := c.p.Now()
 	rt := c.rt
 	c.p.Sleep(rt.params.CopySW / 2)
 	rt.pl.MMIO(c.p)

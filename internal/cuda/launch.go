@@ -49,8 +49,9 @@ func (c *Context) Launch(spec gpu.KernelSpec, s *Stream) {
 		rt.pl.MMIO(c.p) // fence read
 	}
 
-	seq := rt.tracer.NextSeq()
-	rt.tracer.Record(trace.Event{
+	tr := rt.Tracer()
+	seq := tr.NextSeq()
+	tr.Record(trace.Event{
 		Kind: trace.KindLaunch, Name: spec.Name, Stream: s.ID(),
 		Start: apiStart, End: c.p.Now(), Seq: seq,
 	})
@@ -83,6 +84,7 @@ func (c *Context) uploadModule(spec gpu.KernelSpec) {
 type Graph struct {
 	ctx   *Context
 	specs []gpu.KernelSpec
+	name  string // the launch event's name, "graph[n]" for n kernels
 }
 
 // GraphCreate captures and instantiates a graph from the kernel sequence,
@@ -94,7 +96,7 @@ func (c *Context) GraphCreate(specs []gpu.KernelSpec) *Graph {
 	}
 	c.p.Sleep(c.rt.params.GraphCreateSW +
 		time.Duration(len(specs))*c.rt.params.GraphCreatePerNode)
-	return &Graph{ctx: c, specs: specs}
+	return &Graph{ctx: c, specs: specs, name: fmt.Sprintf("graph[%d]", len(specs))}
 }
 
 // Launch submits the whole graph as one command packet: one launch API
@@ -126,9 +128,10 @@ func (g *Graph) Launch(s *Stream) {
 		rt.pl.MMIO(c.p)
 	}
 
-	seq := rt.tracer.NextSeq()
-	rt.tracer.Record(trace.Event{
-		Kind: trace.KindLaunch, Name: fmt.Sprintf("graph[%d]", len(g.specs)), Stream: s.ID(),
+	tr := rt.Tracer()
+	seq := tr.NextSeq()
+	tr.Record(trace.Event{
+		Kind: trace.KindLaunch, Name: g.name, Stream: s.ID(),
 		Start: apiStart, End: c.p.Now(), Seq: seq,
 	})
 	for i, spec := range g.specs {

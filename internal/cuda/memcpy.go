@@ -10,8 +10,6 @@ import (
 	"hccsim/internal/trace"
 )
 
-func simTime(n int64) sim.Time { return sim.Time(n) }
-
 // copyClass resolves a (dst, src) pair into a transfer direction.
 type copyClass struct {
 	kind   trace.Kind
@@ -70,7 +68,6 @@ type memcpyFrame struct {
 	c        *Context
 	a        *sim.Actor
 	cl       copyClass
-	start    int64
 	bytes    int64
 	managed  bool
 	learning bool      // this copy is the runtime's learner (see memcpyKicked)
@@ -98,8 +95,8 @@ func (c *Context) MemcpyA(a *sim.Actor, dst, src *Buffer, bytes int64, step func
 	c.checkCopy(dst, src, bytes)
 	cl := classify(dst, src)
 	f := c.rt.memcpyFrames.Get()
-	f.c, f.a, f.cl, f.start, f.bytes, f.step, f.state = c, a, cl, int64(a.Now()), bytes, step, state
-	f.sp = c.rt.api.Begin(memcpyName(cl)).Bytes(bytes)
+	f.c, f.a, f.cl, f.bytes, f.step, f.state = c, a, cl, bytes, step, state
+	f.sp = c.rt.api.BeginEvent(memcpyName(cl)).Bytes(bytes)
 	a.Sleep(c.rt.params.CopySW, memcpyKicked, f)
 }
 
@@ -144,10 +141,10 @@ type copyLearn struct {
 }
 
 // unobserved reports whether nothing can see a copy's intermediate steps
-// or be woken by them: no trace recorder, no observer, and the link and
-// the host crypto worker and bounce pool free with no one waiting.
+// or be woken by them: no recorder, and the link and the host crypto
+// worker and bounce pool free with no one waiting.
 func (rt *Runtime) unobserved() bool {
-	return rt.tracer == nil && rt.obs == nil && rt.link.Idle() && rt.pl.Idle()
+	return rt.rec == nil && rt.link.Idle() && rt.pl.Idle()
 }
 
 // memcpyKicked runs once the host-side software cost has elapsed, as a step
@@ -270,7 +267,7 @@ func (c *Context) CreditCopies(dst, src *Buffer, bytes int64, n int) {
 
 func memcpyLanded(x any) {
 	f := x.(*memcpyFrame)
-	c, a := f.c, f.a
+	c := f.c
 	if f.learning {
 		c.rt.learned(f.managed)
 	}
@@ -279,10 +276,8 @@ func memcpyLanded(x any) {
 		// Nsight labels CC "pinned" transfers as managed D2D (Obs. 1).
 		kind = trace.KindMemcpyD2D
 	}
-	f.sp.End()
-	c.rt.tracer.Record(trace.Event{
-		Kind: kind, Name: "cudaMemcpy", Stream: -1,
-		Start: simTime(f.start), End: a.Now(), Bytes: f.bytes, Managed: f.managed,
+	f.sp.EndEvent(trace.Event{
+		Kind: kind, Name: "cudaMemcpy", Stream: -1, Bytes: f.bytes, Managed: f.managed,
 	})
 	step, state := f.step, f.state
 	c.rt.memcpyFrames.Put(f)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"hccsim/internal/sim"
 	"hccsim/internal/trace"
 	"hccsim/internal/uvm"
 )
@@ -80,10 +81,10 @@ func (c *Context) mmio(n int) {
 }
 
 // record wraps event recording with the context's clock.
-func (c *Context) record(kind trace.Kind, name string, start int64, bytes int64, managed bool) {
-	c.rt.tracer.Record(trace.Event{
+func (c *Context) record(kind trace.Kind, name string, start sim.Time, bytes int64, managed bool) {
+	c.rt.Tracer().Record(trace.Event{
 		Kind: kind, Name: name, Stream: -1,
-		Start: simTime(start), End: c.p.Now(), Bytes: bytes, Managed: managed,
+		Start: start, End: c.p.Now(), Bytes: bytes, Managed: managed,
 	})
 }
 
@@ -106,13 +107,13 @@ func (c *Context) ensureInit() {
 // device memory is exhausted (the modelled cudaMalloc's fatal error).
 func (c *Context) Malloc(label string, size int64) *Buffer {
 	c.ensureInit()
-	start := int64(c.p.Now())
+	start := c.p.Now()
 	rt := c.rt
 	c.p.Sleep(rt.params.MallocSW)
 	c.mmio(rt.params.MallocMMIOs)
 	if rt.mode.PrivateAllocs() {
 		c.p.Sleep(perMB(rt.params.MallocPerMBCC, size))
-		rt.pl.AcceptPrivate(c.p, minI64(size/64, 128<<10)) // driver control structures
+		rt.pl.AcceptPrivate(c.p, min(size/64, 128<<10)) // driver control structures
 	} else {
 		c.p.Sleep(perMB(rt.params.MallocPerMB, size))
 	}
@@ -131,7 +132,7 @@ func (c *Context) Malloc(label string, size int64) *Buffer {
 // Observation 1.
 func (c *Context) MallocHost(label string, size int64) *Buffer {
 	c.ensureInit()
-	start := int64(c.p.Now())
+	start := c.p.Now()
 	rt := c.rt
 	c.p.Sleep(rt.params.HostAllocSW)
 	c.mmio(rt.params.HostAllocMMIOs)
@@ -155,7 +156,7 @@ func (c *Context) HostBuffer(label string, size int64) *Buffer {
 // 0.51x); CC adds hypercall-mediated registration.
 func (c *Context) MallocManaged(label string, size int64) *Buffer {
 	c.ensureInit()
-	start := int64(c.p.Now())
+	start := c.p.Now()
 	rt := c.rt
 	c.p.Sleep(rt.params.ManagedAllocSW)
 	c.mmio(rt.params.ManagedAllocMMIOs)
@@ -175,7 +176,7 @@ func (c *Context) MallocManaged(label string, size int64) *Buffer {
 // It panics on double frees and on host buffers (use FreeHost).
 func (c *Context) Free(b *Buffer) {
 	b.checkLive("Free")
-	start := int64(c.p.Now())
+	start := c.p.Now()
 	rt := c.rt
 	c.p.Sleep(rt.params.FreeSW)
 	c.mmio(rt.params.FreeMMIOs)
@@ -183,7 +184,7 @@ func (c *Context) Free(b *Buffer) {
 	case DeviceMem:
 		if rt.mode.PrivateAllocs() {
 			c.p.Sleep(perMB(rt.params.FreePerMBCC, b.size))
-			rt.pl.ScrubPrivate(c.p, minI64(b.size/16, 1<<20))
+			rt.pl.ScrubPrivate(c.p, min(b.size/16, 1<<20))
 		} else {
 			c.p.Sleep(perMB(rt.params.FreePerMB, b.size))
 		}
@@ -222,7 +223,7 @@ func (c *Context) FreeHost(b *Buffer) {
 	if b.kind != PinnedHost {
 		panic(fmt.Sprintf("cuda: FreeHost of %s buffer %q", b.kind, b.label))
 	}
-	start := int64(c.p.Now())
+	start := c.p.Now()
 	rt := c.rt
 	c.p.Sleep(rt.params.FreeSW)
 	c.mmio(rt.params.FreeMMIOs / 2)
@@ -259,11 +260,4 @@ func (c *Context) HostTouch(b *Buffer, n int64) {
 		panic(fmt.Sprintf("cuda: HostTouch on %s buffer %q", b.kind, b.label))
 	}
 	b.rng.HostAccess(c.p, n)
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

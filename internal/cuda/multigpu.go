@@ -40,7 +40,7 @@ func (rt *Runtime) AddDevice(pcieParams pcie.Params, hbmParams hbm.Params, gpuPa
 	link := pcie.NewLink(rt.eng, pcieParams)
 	mem := hbm.NewAllocator(hbmParams)
 	mgr := uvm.NewManager(rt.eng, rt.pl, link, rt.uvmParams)
-	dev := gpu.New(rt.eng, rt.pl, link, mem, mgr, rt.tracer, gpuParams)
+	dev := gpu.New(rt.eng, rt.pl, link, mem, mgr, gpuParams)
 	rt.secondary = append(rt.secondary, secondaryDevice{dev: dev, link: link})
 	return len(rt.secondary) // ids 1..n
 }
@@ -73,12 +73,12 @@ func (c *Context) MallocOn(devID int, label string, size int64) *Buffer {
 	if err != nil {
 		panic(err.Error())
 	}
-	start := int64(c.p.Now())
+	start := c.p.Now()
 	c.p.Sleep(rt.params.MallocSW)
 	c.mmio(rt.params.MallocMMIOs)
 	if rt.mode.PrivateAllocs() {
 		c.p.Sleep(perMB(rt.params.MallocPerMBCC, size))
-		rt.pl.AcceptPrivate(c.p, minI64(size/64, 128<<10))
+		rt.pl.AcceptPrivate(c.p, min(size/64, 128<<10))
 	} else {
 		c.p.Sleep(perMB(rt.params.MallocPerMB, size))
 	}
@@ -123,7 +123,7 @@ func (c *Context) MemcpyPeer(dst, src *Buffer, bytes int64) {
 	if err != nil {
 		panic(err.Error())
 	}
-	start := int64(c.p.Now())
+	start := c.p.Now()
 	c.p.Sleep(rt.params.CopySW)
 	rt.pl.MMIO(c.p)
 

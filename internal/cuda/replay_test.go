@@ -40,7 +40,7 @@ func runCopySchedule(t *testing.T, mode string, traced bool) copyRun {
 	eng := sim.NewEngine()
 	rt := New(eng, cfg)
 	if !traced {
-		rt.SetTracer(nil)
+		rt.SetObserver(nil)
 	}
 	r := copyRun{copySW: cfg.Host.CopySW}
 	hostDone := false
@@ -119,8 +119,8 @@ func runCopySchedule(t *testing.T, mode string, traced bool) copyRun {
 	return r
 }
 
-// TestCopyReplayDifferential is the oracle for copy replay: with the tracer
-// dropped, copies nothing can observe land through a learned record instead
+// TestCopyReplayDifferential is the oracle for copy replay: with the
+// recorder dropped, copies nothing can observe land through a learned record instead
 // of their step chain, and every simulated result — when each copy lands,
 // when the run ends, and every substrate counter — must match the traced
 // run, where every copy runs its chain. Copies the rival disturbs must still
@@ -215,7 +215,7 @@ func withReplayLoop(tb testing.TB, body func(p *sim.Proc, l *replayLoop, run fun
 	}
 	eng := sim.NewEngine()
 	rt := New(eng, cfg)
-	rt.SetTracer(nil)
+	rt.SetObserver(nil)
 	eng.Spawn("host", func(p *sim.Proc) {
 		c := rt.Bind(p)
 		l := &replayLoop{c: c, dst: c.Malloc("d", 512), src: c.MallocHost("h", 512)}

@@ -3,7 +3,7 @@
 // launches, streams, and graphs. Workloads are written against this API
 // exactly as a CUDA application would be, and every call both advances the
 // simulated clock through the mechanisms of the layer below and records
-// Nsight-style trace events.
+// Nsight-style trace events into the run's one recorder (SetObserver).
 package cuda
 
 import (
@@ -27,13 +27,12 @@ type Runtime struct {
 	link      *pcie.Link
 	dev       *gpu.Device
 	mode      ccmode.Mode
-	tracer    *trace.Tracer
 	params    Params
 	uvmParams uvm.Params
 
-	// obs is the attached observability layer (nil when tracing is off)
-	// and api its host-API timeline for blocking calls like cudaMemcpy.
-	obs *obs.Observer
+	// rec is the run's recorder (nil when nothing records) and api its
+	// host-API timeline for blocking calls like cudaMemcpy.
+	rec *obs.Observer
 	api obs.Track
 
 	moduleSeen map[string]bool
@@ -74,24 +73,25 @@ func New(eng *sim.Engine, cfg Config) *Runtime {
 	pl := tdx.NewPlatform(eng, mode, cfg.TDX)
 	link := pcie.NewLink(eng, cfg.PCIe)
 	mem := hbm.NewAllocator(cfg.HBM)
-	tracer := trace.New()
 	mgr := uvm.NewManager(eng, pl, link, cfg.UVM)
-	mgr.SetTracer(tracer)
-	dev := gpu.New(eng, pl, link, mem, mgr, tracer, cfg.GPU)
-	return &Runtime{
-		eng: eng, pl: pl, link: link, dev: dev, mode: mode, tracer: tracer,
+	rt := &Runtime{
+		eng: eng, pl: pl, link: link, mode: mode,
+		dev:        gpu.New(eng, pl, link, mem, mgr, cfg.GPU),
 		params:     cfg.Host,
 		uvmParams:  cfg.UVM,
 		moduleSeen: make(map[string]bool),
 	}
+	rt.SetObserver(obs.NewNsight(eng))
+	return rt
 }
 
-// SetObserver attaches the observability layer to the runtime and every
-// substrate below it in a fixed order — host API, platform crypto/bounce,
-// PCIe link, device channels, UVM — so track registration, and with it
-// exported track ordering, never depends on which paths a run exercises.
+// SetObserver makes o the run's one recorder in place of the Nsight-only
+// one New attaches, which figure and workload analyses read; nil records
+// nothing. It attaches o to every layer in a fixed order — host API,
+// platform crypto/bounce, PCIe link, device channels, UVM — so exported
+// track order never depends on which paths a run exercises.
 func (rt *Runtime) SetObserver(o *obs.Observer) {
-	rt.obs = o
+	rt.rec = o
 	rt.api = o.Track("cuda-api")
 	rt.pl.SetObserver(o)
 	rt.link.SetObserver(o)
@@ -99,28 +99,14 @@ func (rt *Runtime) SetObserver(o *obs.Observer) {
 	rt.dev.UVM().SetObserver(o)
 }
 
-// SetTracer replaces the Nsight-style event recorder of the runtime, its
-// device and its UVM manager; devices added later share it. A run that
-// never reads Tracer or Metrics (the serving loop) passes nil to skip
-// recording; New attaches a fresh tracer, which every figure and workload
-// analysis reads.
-func (rt *Runtime) SetTracer(t *trace.Tracer) {
-	rt.tracer = t
-	rt.dev.SetTracer(t)
-	rt.dev.UVM().SetTracer(t)
-}
-
-// Observer returns the attached observability layer, or nil.
-func (rt *Runtime) Observer() *obs.Observer { return rt.obs }
-
 // PublishMetrics snapshots the counters of every layer into the observer's
 // end-of-run metrics. Safe to call repeatedly (values overwrite) and a
-// no-op without an observer.
+// no-op without an observer (none, or the Nsight-only recorder).
 func (rt *Runtime) PublishMetrics() {
-	if rt.obs == nil {
+	reg := rt.rec.Metrics()
+	if reg == nil {
 		return
 	}
-	reg := rt.obs.Metrics()
 	set := func(name, unit string, v int64) {
 		reg.Set(name, unit, float64(v))
 	}
@@ -156,8 +142,9 @@ func (rt *Runtime) PublishMetrics() {
 // Engine returns the simulation engine.
 func (rt *Runtime) Engine() *sim.Engine { return rt.eng }
 
-// Tracer returns the event recorder, nil after SetTracer(nil).
-func (rt *Runtime) Tracer() *trace.Tracer { return rt.tracer }
+// Tracer returns the Nsight view of the run's recorder, nil after
+// SetObserver(nil).
+func (rt *Runtime) Tracer() *trace.Tracer { return rt.rec.Tracer() }
 
 // Platform returns the CPU-TEE substrate.
 func (rt *Runtime) Platform() *tdx.Platform { return rt.pl }
@@ -280,7 +267,7 @@ func (s *Stream) Synchronize() {
 		last.Wait(c.p)
 	}
 	s.prune()
-	c.rt.tracer.Record(trace.Event{
+	c.rt.Tracer().Record(trace.Event{
 		Kind: trace.KindSync, Name: "cudaStreamSynchronize", Stream: s.ID(),
 		Start: start, End: c.p.Now(),
 	})
@@ -298,7 +285,7 @@ func (c *Context) Sync() {
 		}
 		s.prune()
 	}
-	c.rt.tracer.Record(trace.Event{
+	c.rt.Tracer().Record(trace.Event{
 		Kind: trace.KindSync, Name: "cudaDeviceSynchronize", Stream: -1,
 		Start: start, End: c.p.Now(),
 	})
@@ -308,7 +295,7 @@ func (c *Context) Sync() {
 func (c *Context) allStreams() []*Stream { return c.streams }
 
 // Metrics analyzes the trace so far.
-func (rt *Runtime) Metrics() trace.Metrics { return rt.tracer.Analyze() }
+func (rt *Runtime) Metrics() trace.Metrics { return rt.Tracer().Analyze() }
 
 // String describes the runtime configuration.
 func (rt *Runtime) String() string {

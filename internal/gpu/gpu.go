@@ -102,24 +102,23 @@ type Device struct {
 	port   tdx.Port
 	mem    *hbm.Allocator
 	uvm    *uvm.Manager
-	tracer *trace.Tracer
 	params Params
 
 	cmdproc  *sim.Resource // serializes command dispatch across channels
 	compute  *sim.Resource // serial kernel execution
 	channels []*Channel
 
-	// obs is the attached observability layer, nil when tracing is off.
+	// obs is the run's recorder, nil when nothing records.
 	obs *obs.Observer
 
 	kernelsRun uint64
 }
 
-// New creates a device on the given substrates. The tracer may be nil.
-// It panics on non-positive SM or chunk-size params, which have no
-// physical meaning.
+// New creates a device on the given substrates. It records nothing until
+// SetObserver attaches a recorder. It panics on non-positive SM or
+// chunk-size params, which have no physical meaning.
 func New(eng *sim.Engine, pl *tdx.Platform, link *pcie.Link, mem *hbm.Allocator,
-	uvmMgr *uvm.Manager, tracer *trace.Tracer, params Params) *Device {
+	uvmMgr *uvm.Manager, params Params) *Device {
 	if params.SMs <= 0 || params.ChunkBytes <= 0 {
 		panic("gpu: invalid params")
 	}
@@ -128,7 +127,7 @@ func New(eng *sim.Engine, pl *tdx.Platform, link *pcie.Link, mem *hbm.Allocator,
 		conc = 1
 	}
 	return &Device{
-		eng: eng, pl: pl, link: link, mem: mem, uvm: uvmMgr, tracer: tracer,
+		eng: eng, pl: pl, link: link, mem: mem, uvm: uvmMgr,
 		mode:    pl.Mode(),
 		port:    tdx.NewPort(pl, link),
 		params:  params,
@@ -137,11 +136,9 @@ func New(eng *sim.Engine, pl *tdx.Platform, link *pcie.Link, mem *hbm.Allocator,
 	}
 }
 
-// SetTracer replaces the event recorder; nil records nothing.
-func (d *Device) SetTracer(t *trace.Tracer) { d.tracer = t }
-
-// SetObserver attaches the observability layer; channels created before
-// and after the call all get a per-channel timeline.
+// SetObserver attaches the run's recorder (nil records nothing): every
+// channel gets a timeline on which each kernel and async copy is one span
+// that is also its Nsight event.
 func (d *Device) SetObserver(o *obs.Observer) {
 	d.obs = o
 	for _, ch := range d.channels {
@@ -221,7 +218,6 @@ type Channel struct {
 	cc      *copyCmd   // copy in flight
 	wc      waitCmd    // barrier in flight
 	mai     int        // next managed access of the kernel in flight
-	start   sim.Time   // engine-start time of the command in flight
 	managed bool       // copy in flight was demoted to encrypted paging
 	trk     obs.Track  // this channel's timeline (zero when tracing is off)
 	sp      obs.Span   // span of the command in flight
@@ -350,9 +346,8 @@ func kernelDispatched(x any) {
 
 func kernelStarted(x any) {
 	ch := x.(*Channel)
-	ch.start = ch.a.Now()
 	ch.mai = 0
-	ch.sp = ch.trk.Begin(ch.kc.spec.Name)
+	ch.sp = ch.trk.BeginEvent(ch.kc.spec.Name)
 	kernelFaults(ch)
 }
 
@@ -376,13 +371,9 @@ func kernelDone(x any) {
 	d := ch.dev
 	c := ch.kc
 	ch.kc = nil
-	ch.sp.End()
 	d.compute.Release()
 	d.kernelsRun++
-	d.tracer.Record(trace.Event{
-		Kind: trace.KindKernel, Name: c.spec.Name, Stream: ch.id,
-		Start: ch.start, End: ch.a.Now(), Seq: c.seq,
-	})
+	ch.sp.EndEvent(trace.Event{Kind: trace.KindKernel, Name: c.spec.Name, Stream: ch.id, Seq: c.seq})
 	done := c.done
 	ch.kpool.Put(c)
 	done.Fire()
@@ -391,8 +382,7 @@ func kernelDone(x any) {
 
 func copyDispatched(x any) {
 	ch := x.(*Channel)
-	ch.start = ch.a.Now()
-	ch.sp = ch.trk.Begin("memcpyAsync").Bytes(ch.cc.bytes)
+	ch.sp = ch.trk.BeginEvent("memcpyAsync").Bytes(ch.cc.bytes)
 	// Zero-byte copies (async D2D markers) complete inline, so the flag
 	// must be down before the call; a real transfer always crosses at
 	// least one DMA sleep, so the assignment lands before copyLanded runs.
@@ -402,18 +392,15 @@ func copyDispatched(x any) {
 
 func copyLanded(x any) {
 	ch := x.(*Channel)
-	d := ch.dev
 	c := ch.cc
 	ch.cc = nil
-	ch.sp.End()
 	kind := c.kind
 	if ch.managed {
 		// Nsight labels CC "pinned" transfers as managed D2D.
 		kind = trace.KindMemcpyD2D
 	}
-	d.tracer.Record(trace.Event{
-		Kind: kind, Name: "memcpyAsync", Stream: ch.id,
-		Start: ch.start, End: ch.a.Now(), Bytes: c.bytes, Managed: ch.managed,
+	ch.sp.EndEvent(trace.Event{
+		Kind: kind, Name: "memcpyAsync", Stream: ch.id, Bytes: c.bytes, Managed: ch.managed,
 	})
 	done := c.done
 	ch.cpool.Put(c)

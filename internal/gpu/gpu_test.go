@@ -7,6 +7,7 @@ import (
 
 	"hccsim/internal/ccmode"
 	"hccsim/internal/hbm"
+	"hccsim/internal/obs"
 	"hccsim/internal/pcie"
 	"hccsim/internal/sim"
 	"hccsim/internal/tdx"
@@ -32,9 +33,10 @@ func newRig(cc bool) *rig {
 	link := pcie.NewLink(eng, pcieParams())
 	mem := hbm.NewAllocator(hbmParams())
 	mgr := uvm.NewManager(eng, pl, link, uvmParams())
-	tr := trace.New()
-	dev := New(eng, pl, link, mem, mgr, tr, defaultParams())
-	return &rig{eng: eng, pl: pl, link: link, dev: dev, tracer: tr}
+	rec := obs.NewNsight(eng)
+	dev := New(eng, pl, link, mem, mgr, defaultParams())
+	dev.SetObserver(rec)
+	return &rig{eng: eng, pl: pl, link: link, dev: dev, tracer: rec.Tracer()}
 }
 
 func (r *rig) run(body func(p *sim.Proc)) sim.Time {

@@ -137,7 +137,7 @@ func TrainSimulateWith(cfg TrainConfig, sys cuda.Config) TrainResult {
 	cfg.Mode = mode.Name()
 	eng := sim.NewEngine()
 	rt := cuda.New(eng, sys)
-	rt.SetTracer(nil) // nothing reads the trace; skip recording it
+	rt.SetObserver(nil) // nothing reads the trace; skip recording it
 
 	const warmup, measured = 2, 6
 	var iterTime time.Duration

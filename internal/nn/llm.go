@@ -155,7 +155,7 @@ func LLMSimulateWith(cfg LLMConfig, sys cuda.Config) LLMResult {
 	cfg.Mode = mode.Name()
 	eng := sim.NewEngine()
 	rt := cuda.New(eng, sys)
-	rt.SetTracer(nil) // nothing reads the trace; skip recording it
+	rt.SetObserver(nil) // nothing reads the trace; skip recording it
 	prof := profileOf(cfg.Backend)
 
 	weightBytes := WeightBytes(cfg.Quant)

@@ -44,7 +44,7 @@ func PrefillSimulateWith(backend Backend, quant Quant, promptLen int, sys cuda.C
 
 	eng := sim.NewEngine()
 	rt := cuda.New(eng, sys)
-	rt.SetTracer(nil) // nothing reads the trace; skip recording it
+	rt.SetObserver(nil) // nothing reads the trace; skip recording it
 	var warm, load time.Duration
 
 	eng.Spawn("prefill", func(p *sim.Proc) {

@@ -14,13 +14,14 @@ import (
 //
 // The export is deterministic byte-for-byte: timestamps are simulated
 // microseconds (never wall time), tracks appear in registration order with
-// explicit sort indices, sync spans appear in record order (the engine
+// explicit sort indices, sync spans appear in begin order (the engine
 // clock is monotonic, so that is chronological), and async scopes follow
 // in first-use order. One "X" (complete) event per span carries its
 // duration and attrs, and the viewer nests the spans of one track by time
 // containment; request-lifecycle phases export as "b"/"e" async
 // pairs keyed by (scope, request id) so overlapping instances render as
-// separate rows of one group. A nil observer renders the empty export.
+// separate rows of one group. Nsight events with no track are not
+// exported. A nil observer renders the empty export.
 func (o *Observer) ChromeTrace() []byte {
 	if o == nil {
 		o = &Observer{}
@@ -44,47 +45,37 @@ func (o *Observer) ChromeTrace() []byte {
 		b = append(b, "}}"...)
 	}
 	// Async scopes get one virtual track each, after the real tracks.
-	scopeTID := make(map[string]int)
-	var scopes []string
-	for _, a := range o.asyncs {
-		if _, ok := scopeTID[a.scope]; ok {
-			continue
-		}
-		tid := len(o.tracks) + 1 + len(scopes)
-		scopeTID[a.scope] = tid
-		scopes = append(scopes, a.scope)
+	for i, scope := range o.scopes {
 		b = append(b, ",\n"...)
 		b = append(b, `{"ph":"M","pid":0,"tid":`...)
-		b = strconv.AppendInt(b, int64(tid), 10)
+		b = strconv.AppendInt(b, int64(len(o.tracks)+1+i), 10)
 		b = append(b, `,"name":"thread_name","args":{"name":`...)
-		b = strconv.AppendQuote(b, a.scope)
+		b = strconv.AppendQuote(b, scope)
 		b = append(b, "}}"...)
 	}
 	for _, sp := range o.spans {
+		if sp.track < 0 {
+			continue
+		}
+		start, end := o.interval(sp)
 		b = append(b, ",\n"...)
 		b = append(b, `{"ph":"X","pid":0,"tid":`...)
-		b = strconv.AppendInt(b, int64(sp.track)+1, 10)
+		b = strconv.AppendInt(b, int64(sp.track), 10)
 		b = append(b, `,"ts":`...)
-		b = appendUS(b, sp.start)
+		b = appendUS(b, start)
 		b = append(b, `,"dur":`...)
-		end := sp.end
-		if end < sp.start {
-			end = sp.start // still open at export: zero duration
-		}
-		b = appendUS(b, end-sp.start)
+		b = appendUS(b, end-start)
 		b = append(b, `,"name":`...)
 		b = strconv.AppendQuote(b, sp.name)
 		b = appendArgs(b, sp)
 		b = append(b, "}"...)
 	}
-	for _, a := range o.asyncs {
-		tid := scopeTID[a.scope]
-		b = appendAsync(b, a, "b", a.start, tid)
-		end := a.end
-		if end < a.start {
-			end = a.start
+	for _, sp := range o.spans {
+		if scope := int(-sp.track - 1); scope >= 0 {
+			start, end := o.interval(sp)
+			b = appendAsync(b, sp, o.scopes[scope], "b", start, len(o.tracks)+1+scope)
+			b = appendAsync(b, sp, o.scopes[scope], "e", end, len(o.tracks)+1+scope)
 		}
-		b = appendAsync(b, a, "e", end, tid)
 	}
 	b = append(b, "\n],\n\"displayTimeUnit\":\"ms\",\n\"metrics\":[\n"...)
 	for i, m := range o.reg.points {
@@ -114,6 +105,13 @@ func (o *Observer) WriteChromeTrace(w io.Writer) error {
 // format expects.
 func appendUS[T ~int64](b []byte, t T) []byte {
 	return strconv.AppendFloat(b, units.ToUS(time.Duration(t)), 'f', 3, 64)
+}
+
+// interval returns the span's start and end, its end being its start
+// while it is still open: an open span exports with zero duration.
+func (o *Observer) interval(sp span) (start, end sim.Time) {
+	start, end = o.log.Interval(sp.rec)
+	return start, max(end, start)
 }
 
 // appendArgs appends the span's attrs as a fixed-order args object.
@@ -155,17 +153,17 @@ func appendArgs(b []byte, sp span) []byte {
 	return b
 }
 
-// appendAsync appends one async begin or end event.
-func appendAsync(b []byte, a asyncSpan, ph string, at sim.Time, tid int) []byte {
+// appendAsync appends one async begin or end event of span a in scope.
+func appendAsync(b []byte, a span, scope, ph string, at sim.Time, tid int) []byte {
 	b = append(b, ",\n"...)
 	b = append(b, `{"ph":"`...)
 	b = append(b, ph...)
 	b = append(b, `","pid":0,"tid":`...)
 	b = strconv.AppendInt(b, int64(tid), 10)
 	b = append(b, `,"cat":`...)
-	b = strconv.AppendQuote(b, a.scope)
+	b = strconv.AppendQuote(b, scope)
 	b = append(b, `,"id":`...)
-	b = strconv.AppendQuote(b, "0x"+strconv.FormatInt(a.id, 16))
+	b = strconv.AppendQuote(b, "0x"+strconv.FormatInt(a.req, 16))
 	b = append(b, `,"ts":`...)
 	b = appendUS(b, at)
 	b = append(b, `,"name":`...)

@@ -49,7 +49,7 @@ type request struct {
 	kvBlocks     int  // KV blocks held: blocksFor(kvTokens) while resident, else 0
 	swappedOut   bool // preempted: KV lives host-side, swap in on re-admit
 	preemptions  int
-	asp          obs.AsyncSpan // lifecycle interval, arrival -> done/reject
+	asp          obs.Span // lifecycle interval, arrival -> done/reject
 }
 
 // simTime is simulated nanoseconds since engine start (mirrors sim.Time

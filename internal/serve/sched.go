@@ -72,14 +72,11 @@ func schedule(cfg Config, sys cuda.Config, quant nn.Quant, model *costModel, wl 
 
 	eng := sim.NewEngine()
 	rt := cuda.New(eng, sys)
-	rt.SetTracer(nil) // nothing here reads the Nsight trace
-	if cfg.Observer != nil {
-		// The run owns its engine, so the observer is bound here rather
-		// than by the caller; substrate tracks register before the
-		// scheduler's own, keeping export order fixed.
-		cfg.Observer.Bind(eng)
-		rt.SetObserver(cfg.Observer)
-	}
+	// The run owns its engine, so the observer is bound here; substrate
+	// tracks register before the scheduler's own, keeping export order
+	// fixed. Without one nothing records: nothing here reads the trace.
+	cfg.Observer.Bind(eng)
+	rt.SetObserver(cfg.Observer)
 	waiting := sim.NewQueue[*request](eng).SetLabel("serve-waiting")
 	ready := sim.NewSignal(eng).SetLabel("serve-ready")
 

@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"time"
 
@@ -110,13 +112,7 @@ func (t *Tracer) Utilize() Utilization {
 			return 0
 		}
 		// Merge and measure.
-		for i := 1; i < len(ivs); i++ { // insertion sort: traces are near-ordered
-			j := i
-			for j > 0 && ivs[j].s < ivs[j-1].s {
-				ivs[j], ivs[j-1] = ivs[j-1], ivs[j]
-				j--
-			}
-		}
+		slices.SortFunc(ivs, func(a, b iv) int { return cmp.Compare(a.s, b.s) })
 		var total time.Duration
 		cur := ivs[0]
 		for _, x := range ivs[1:] {

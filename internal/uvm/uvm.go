@@ -62,8 +62,7 @@ type Manager struct {
 	mode   ccmode.Mode
 	port   tdx.Port
 	params Params
-	tracer *trace.Tracer // fault batches are recorded into it; nil records nothing
-	trk    obs.Track     // paging timeline; the zero Track when tracing is off
+	trk    obs.Track // paging timeline; the zero Track when nothing records
 
 	ranges        []*Range
 	residentBytes int64
@@ -88,12 +87,9 @@ func NewManager(eng *sim.Engine, pl *tdx.Platform, link *pcie.Link, params Param
 		mode: pl.Mode(), port: tdx.NewPort(pl, link), params: params}
 }
 
-// SetTracer attaches a tracer; subsequent fault batches are recorded into
-// it (nil records nothing).
-func (m *Manager) SetTracer(t *trace.Tracer) { m.tracer = t }
-
-// SetObserver attaches the observability layer; fault batches, prefetches
-// and write-backs open spans on the "uvm" timeline.
+// SetObserver attaches the run's recorder; fault batches, prefetches and
+// write-backs are spans on the "uvm" timeline that are also their Nsight
+// fault-batch events. Nil records nothing.
 func (m *Manager) SetObserver(o *obs.Observer) { m.trk = o.Track("uvm") }
 
 // SetResidentLimit caps device-resident managed bytes; exceeding it evicts
@@ -278,7 +274,6 @@ type prefetchFrame struct {
 	start   int
 	end     int
 	n       int64 // bytes in the batch in flight
-	startT  sim.Time
 	sp      obs.Span
 	step    func(any)
 	state   any
@@ -330,8 +325,7 @@ func prefetchNext(x any) {
 	}
 	f.end = end
 	f.n = int64(end-f.start) * m.params.PageBytes
-	f.startT = m.eng.Now()
-	f.sp = m.trk.Begin("prefetch").Bytes(f.n)
+	f.sp = m.trk.BeginEvent("prefetch").Bytes(f.n)
 	m.mode.MigrateA(m.port, f.a, ccmode.H2D, f.n, prefetchMoved, f)
 }
 
@@ -352,12 +346,7 @@ func prefetchMoved(x any) {
 
 func prefetchEvicted(x any) {
 	f := x.(*prefetchFrame)
-	m := f.m
-	f.sp.End()
-	m.tracer.Record(trace.Event{
-		Kind: trace.KindFaultBatch, Name: "uvm-prefetch",
-		Start: f.startT, End: m.eng.Now(), Bytes: f.n, Managed: true,
-	})
+	f.sp.EndEvent(trace.Event{Kind: trace.KindFaultBatch, Name: "uvm-prefetch", Bytes: f.n, Managed: true})
 	f.start = f.end
 	prefetchNext(f)
 }
@@ -445,7 +434,6 @@ type migrateFrame struct {
 	pageIdx []int
 	bytes   int64
 	toHost  bool
-	startT  sim.Time
 	hc      int // hypercall round trips still to charge
 	sp      obs.Span
 	step    func(any)
@@ -459,8 +447,7 @@ type migrateFrame struct {
 func (m *Manager) migrateToGPUA(a *sim.Actor, r *Range, pageIdx []int, bytes int64, step func(any), state any) {
 	f := m.migFrames.Get()
 	f.m, f.a, f.r, f.pageIdx, f.bytes, f.step, f.state = m, a, r, pageIdx, bytes, step, state
-	f.startT = m.eng.Now()
-	f.sp = m.trk.Begin("fault-batch").Bytes(bytes).Count(int64(len(pageIdx)))
+	f.sp = m.trk.BeginEvent("fault-batch").Bytes(bytes).Count(int64(len(pageIdx)))
 	f.hc = m.mode.FaultHypercalls(m.params.CCFaultHypercalls)
 	a.Sleep(m.params.FaultService, migServiced, f)
 }
@@ -471,8 +458,7 @@ func (m *Manager) migrateToGPUA(a *sim.Actor, r *Range, pageIdx []int, bytes int
 func (m *Manager) migrateToHostA(a *sim.Actor, bytes int64, step func(any), state any) {
 	f := m.migFrames.Get()
 	f.m, f.a, f.bytes, f.toHost, f.step, f.state = m, a, bytes, true, step, state
-	f.startT = m.eng.Now()
-	f.sp = m.trk.Begin("writeback").Bytes(bytes)
+	f.sp = m.trk.BeginEvent("writeback").Bytes(bytes)
 	f.hc = m.mode.FaultHypercalls(m.params.CCFaultHypercalls)
 	a.Sleep(m.params.FaultService, migServiced, f)
 }
@@ -497,13 +483,9 @@ func migMoved(x any) {
 	f := x.(*migrateFrame)
 	m := f.m
 	if f.toHost {
-		f.sp.End()
 		m.stats.FaultBatches++
 		m.stats.BytesToHost += f.bytes
-		m.tracer.Record(trace.Event{
-			Kind: trace.KindFaultBatch, Name: "uvm-writeback",
-			Start: f.startT, End: m.eng.Now(), Bytes: f.bytes, Managed: true,
-		})
+		f.sp.EndEvent(trace.Event{Kind: trace.KindFaultBatch, Name: "uvm-writeback", Bytes: f.bytes, Managed: true})
 		step, state := f.step, f.state
 		m.migFrames.Put(f)
 		step(state)
@@ -524,14 +506,9 @@ func migMoved(x any) {
 
 func migEvicted(x any) {
 	f := x.(*migrateFrame)
-	m := f.m
-	f.sp.End()
-	m.tracer.Record(trace.Event{
-		Kind: trace.KindFaultBatch, Name: "uvm-migrate",
-		Start: f.startT, End: m.eng.Now(), Bytes: f.bytes, Managed: true,
-	})
+	f.sp.EndEvent(trace.Event{Kind: trace.KindFaultBatch, Name: "uvm-migrate", Bytes: f.bytes, Managed: true})
 	step, state := f.step, f.state
-	m.migFrames.Put(f)
+	f.m.migFrames.Put(f)
 	step(state)
 }
 

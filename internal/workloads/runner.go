@@ -37,9 +37,7 @@ func ExecuteObserved(spec Spec, mode Mode, cfg cuda.Config, o *obs.Observer) Res
 		spec.Run(rt.Bind(p), mode)
 	})
 	end := eng.Run()
-	if o != nil {
-		rt.PublishMetrics()
-	}
+	rt.PublishMetrics()
 	return Result{Spec: spec, Mode: mode, Runtime: rt, End: end}
 }
 

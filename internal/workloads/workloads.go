@@ -115,9 +115,9 @@ func (s Spec) runCopyExecute(c *cuda.Context) {
 		devBufs = append(devBufs, d)
 	}
 	if s.D2DBytes > 0 && len(devBufs) >= 2 {
-		n := minI64(devBufs[0].Size(), devBufs[1].Size())
+		n := min(devBufs[0].Size(), devBufs[1].Size())
 		for moved := int64(0); moved < s.D2DBytes; moved += n {
-			c.Memcpy(devBufs[1], devBufs[0], minI64(n, s.D2DBytes-moved))
+			c.Memcpy(devBufs[1], devBufs[0], min(n, s.D2DBytes-moved))
 		}
 	}
 	rounds := s.HostRounds
@@ -141,7 +141,7 @@ func (s Spec) runCopyExecute(c *cuda.Context) {
 		}
 	}
 	if s.Out > 0 && len(devBufs) > 0 {
-		n := minI64(s.Out, devBufs[len(devBufs)-1].Size())
+		n := min(s.Out, devBufs[len(devBufs)-1].Size())
 		c.Memcpy(hostBufs[len(hostBufs)-1], devBufs[len(devBufs)-1], n)
 	}
 	for _, d := range devBufs {
@@ -197,18 +197,11 @@ func (s Spec) runUVM(c *cuda.Context) {
 		}
 	}
 	if s.Out > 0 && len(bufs) > 0 {
-		c.HostTouch(bufs[len(bufs)-1], minI64(s.Out, bufs[len(bufs)-1].Size()))
+		c.HostTouch(bufs[len(bufs)-1], min(s.Out, bufs[len(bufs)-1].Size()))
 	}
 	for _, b := range bufs {
 		c.Free(b)
 	}
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // ByName returns the named spec.

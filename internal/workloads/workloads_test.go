@@ -84,21 +84,31 @@ func TestExecuteProducesConsistentTrace(t *testing.T) {
 	}
 }
 
+// TestEveryAppRunsBothModesAndLeaksNothing runs every application in each
+// of its execution modes, CC off and on, and holds each run to its
+// run-end invariants: no device bytes leaked, and nothing left open on the
+// run's recorder. A span opened at Begin and never ended would otherwise
+// drop out of the Nsight view, and with it out of Analyze.
 func TestEveryAppRunsBothModesAndLeaksNothing(t *testing.T) {
 	for _, s := range All() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
-			res := Execute(s, CopyExecute, cuda.DefaultConfig(false))
-			if res.End <= 0 {
-				t.Fatalf("%s: zero runtime", s.Name)
-			}
-			if used := res.Runtime.Device().Mem().Used(); used != 0 {
-				t.Fatalf("%s: leaked %d device bytes", s.Name, used)
-			}
+			modes := []Mode{CopyExecute}
 			if s.UVMCapable {
-				resU := Execute(s, UVM, cuda.DefaultConfig(false))
-				if resU.End <= 0 {
-					t.Fatalf("%s/uvm: zero runtime", s.Name)
+				modes = append(modes, UVM)
+			}
+			for _, mode := range modes {
+				for _, cc := range []bool{false, true} {
+					res := Execute(s, mode, cuda.DefaultConfig(cc))
+					if res.End <= 0 {
+						t.Fatalf("%s/%v cc=%v: zero runtime", s.Name, mode, cc)
+					}
+					if used := res.Runtime.Device().Mem().Used(); used != 0 {
+						t.Fatalf("%s/%v cc=%v: leaked %d device bytes", s.Name, mode, cc, used)
+					}
+					if open := res.Runtime.Tracer().Open(); open != 0 {
+						t.Fatalf("%s/%v cc=%v: %d records still open on the recorder", s.Name, mode, cc, open)
+					}
 				}
 			}
 		})
