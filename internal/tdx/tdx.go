@@ -163,7 +163,7 @@ func (pl *Platform) SetObserver(o *obs.Observer) {
 	pl.btrk = o.Track("tdx-bounce")
 }
 
-// Observer returns the attached observability layer (nil when off). It
+// Observer returns the attached recorder (nil when nothing records). It
 // implements part of ccmode.Port via the port adapter.
 func (pl *Platform) Observer() *obs.Observer { return pl.obs }
 
