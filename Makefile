@@ -1,7 +1,8 @@
 # Developer/CI entry points. `make check` is the gate: formatting, vet, the
 # project's own static analyzers (hcclint), the full test suite under the
-# race detector (the batch worker pool is the main concurrency surface), and
-# vet and tests of the hccperf benchmark module.
+# race detector (the batch worker pool and GenerateAll's figure fan-out are
+# the concurrency surfaces), and vet and tests of the hccperf benchmark
+# module.
 
 GO ?= go
 

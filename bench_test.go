@@ -86,9 +86,9 @@ func BenchmarkObservations(b *testing.B) {
 	b.ReportMetric(agg.UVMCCAvg, "uvmcc-x")
 }
 
-// BenchmarkFullFigureSet regenerates every figure serially and through the
-// batch worker pool — the wall-clock win of the sweep-orchestration
-// subsystem on the heaviest built-in campaign (cmd/hccreport's workload).
+// BenchmarkFullFigureSet regenerates every figure serially and across
+// GOMAXPROCS goroutines — the wall-clock win of GenerateAll's fan-out on
+// the heaviest built-in campaign (cmd/hccreport's workload).
 func BenchmarkFullFigureSet(b *testing.B) {
 	for _, bc := range []struct {
 		name    string

@@ -1,7 +1,7 @@
 // Command hccsweep runs grid sweeps of the simulator through the
 // internal/batch worker pool: a cross product of applications (benchmark
-// workloads, CNN training cells, LLM serving cells, or whole figures),
-// protection modes, and named configuration-parameter values, executed
+// workloads, CNN training cells, LLM serving cells, or serving-traffic
+// cells), protection modes, and named configuration-parameter values, executed
 // concurrently with content-addressed result caching. Results are
 // deterministic — the output is byte-identical at any -parallel level, and
 // a warm cache skips re-simulation entirely.
@@ -38,7 +38,6 @@ import (
 	"hccsim/internal/batch"
 	"hccsim/internal/bench"
 	"hccsim/internal/ccmode"
-	"hccsim/internal/figures"
 	"hccsim/internal/platform"
 	"hccsim/internal/workloads"
 )
@@ -70,7 +69,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var params paramFlag
 	apps := fs.String("workloads", "", "benchmark applications: comma list or 'all'")
-	figs := fs.String("figures", "", "figure ids: comma list or 'all'")
 	cnns := fs.String("cnn", "", "CNN cells model:batch:precision, comma list (e.g. resnet50:64:fp32)")
 	llms := fs.String("llm", "", "LLM cells backend:quant:batch, comma list (e.g. vllm:awq:8)")
 	serves := fs.String("serve", "", "serving-traffic cells backend:quant:rateQPS, comma list (e.g. vllm:bf16:1.4); sweep rates with -param serve.rate=...")
@@ -118,15 +116,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	if *figs != "" {
-		ids := strings.Split(*figs, ",")
-		if *figs == "all" {
-			ids = nil
-		}
-		jobs = append(jobs, figures.Jobs(ids...)...)
-	}
 	if len(jobs) == 0 {
-		fmt.Fprintln(stderr, "hccsweep: nothing to run (use -workloads, -figures, -cnn, -llm or -serve)")
+		fmt.Fprintln(stderr, "hccsweep: nothing to run (use -workloads, -cnn, -llm or -serve)")
 		fs.Usage()
 		return 2
 	}

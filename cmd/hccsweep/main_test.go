@@ -76,6 +76,7 @@ func TestExitCodes(t *testing.T) {
 		{"unwritable output", append(one, "-o", filepath.Join(t.TempDir(), "no", "such", "dir.txt")), 1, "no such file or directory"},
 		{"nothing to run", []string{"-modes", "off"}, 2, "nothing to run"},
 		{"unknown flag", []string{"-bogus"}, 2, "flag provided but not defined: -bogus"},
+		{"figures flag", []string{"-figures", "all"}, 2, "flag provided but not defined: -figures"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

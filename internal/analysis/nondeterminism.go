@@ -11,8 +11,8 @@ import (
 // global math/rand source, and no iteration over a map whose keys are not
 // collected and sorted before use. Functions named Measure* are exempt —
 // they are the project's documented wall-clock boundary (swcrypto.Measure
-// times real crypto on the build machine, and its figures are marked
-// NoCache for exactly that reason).
+// times real crypto on the build machine; its figure, fig4b, is never
+// cached, since figures are not batch jobs).
 var Nondeterminism = &Analyzer{
 	Name: "nondeterminism",
 	Doc:  "forbid wall-clock, global rand, and unsorted map iteration in deterministic packages",

@@ -44,9 +44,6 @@ func SweepTable(results []Result) tab.Table {
 			s := r.Payload.Serve
 			cells = append(cells, "-", "-", "-", "-", "-", "-", "-",
 				fmt.Sprintf("%.0f tok/s slo=%.2f", s.TokensPerSec, s.SLOAttainment))
-		case r.Payload.Table != nil:
-			cells = append(cells, "-", "-", "-", "-", "-", "-", "-",
-				fmt.Sprintf("%d rows", len(r.Payload.Table.Rows)))
 		default:
 			cells = append(cells, "-", "-", "-", "-", "-", "-", "-", "-")
 		}

@@ -23,13 +23,12 @@ func (j Job) Key() (string, error) {
 		return "", err
 	}
 	// Hash the spec fields only (not Overrides/Config — those are already
-	// folded into the resolved config, and NoCache never reaches a cache).
+	// folded into the resolved config).
 	spec := struct {
 		Version   string
 		Kind      Kind
 		Workload  string  `json:",omitempty"`
 		UVM       bool    `json:",omitempty"`
-		Figure    string  `json:",omitempty"`
 		Model     string  `json:",omitempty"`
 		Precision string  `json:",omitempty"`
 		Backend   string  `json:",omitempty"`
@@ -38,7 +37,7 @@ func (j Job) Key() (string, error) {
 		RateQPS   float64 `json:",omitempty"`
 		Requests  int     `json:",omitempty"`
 		Seed      uint64  `json:",omitempty"`
-	}{cacheVersion, j.Kind, j.Workload, j.UVM, j.Figure, j.Model, j.Precision,
+	}{cacheVersion, j.Kind, j.Workload, j.UVM, j.Model, j.Precision,
 		j.Backend, j.Quant, j.Batch, j.RateQPS, j.Requests, j.Seed}
 	specJSON, err := json.Marshal(spec)
 	if err != nil {

@@ -1,16 +1,15 @@
 // Package batch is the sweep-orchestration subsystem: it turns independent
-// simulator runs — benchmark workloads, paper figures, CNN training and LLM
-// serving configurations — into Jobs, executes them on a bounded worker pool
-// with deterministic result ordering, and memoizes results in a
+// simulator runs — benchmark workloads, CNN training, LLM serving and
+// serving-traffic configurations — into Jobs, executes them on a bounded
+// worker pool with deterministic result ordering, and memoizes results in a
 // content-addressed cache (in-memory plus optional on-disk). Every job is a
 // deterministic function of its spec and configuration, so a cached result
 // is byte-identical to a fresh run; the package tests assert this.
 //
 // Layering: batch sits above the simulator layers (cuda, workloads, nn,
-// core, trace) and below their consumers. The figures package registers its
-// generator runner here at init and routes Generate/GenerateAll through a
-// pool, cmd/hccreport regenerates the full report in parallel, and
-// cmd/hccsweep exposes grid sweeps over named configuration parameters.
+// core, trace, serve) and below its consumers: cmd/hccsweep exposes grid
+// sweeps over named configuration parameters, and the hccsim facade's
+// RunJobs runs any job list.
 package batch
 
 import (
@@ -28,7 +27,6 @@ type Kind string
 // Job kinds.
 const (
 	KindWorkload Kind = "workload" // one benchmark application run
-	KindFigure   Kind = "figure"   // one paper figure / extension table
 	KindCNN      Kind = "cnn"      // one Fig. 13 CNN training cell
 	KindLLM      Kind = "llm"      // one Fig. 14 LLM serving cell
 	KindServe    Kind = "serve"    // one request-level serving-traffic run
@@ -54,9 +52,6 @@ type Job struct {
 	Workload string `json:",omitempty"` // application name (workloads.ByName)
 	UVM      bool   `json:",omitempty"` // managed-memory variant
 
-	// Figure jobs.
-	Figure string `json:",omitempty"` // figure id (figures.Generate)
-
 	// CNN training jobs.
 	Model     string `json:",omitempty"` // CNN name (nn.ModelByName)
 	Precision string `json:",omitempty"` // fp32 | amp | fp16
@@ -75,8 +70,7 @@ type Job struct {
 	Seed     uint64  `json:",omitempty"` // workload RNG seed (0 = serve default)
 
 	// Mode names the protection mode (ccmode.ByName) the job runs under;
-	// empty means off. Figure jobs fix their own modes internally and take
-	// none.
+	// empty means off.
 	Mode string `json:",omitempty"`
 
 	// Platform names the hardware profile (platform.ByName) the job runs
@@ -91,10 +85,6 @@ type Job struct {
 	// Config, when non-nil, replaces the default h100-tdx system as the base
 	// configuration (Mode and Overrides still apply on top).
 	Config *cuda.Config `json:",omitempty"`
-
-	// NoCache marks a job whose result must not be memoized (e.g. fig4b
-	// measures wall-clock crypto throughput on the build machine).
-	NoCache bool `json:",omitempty"`
 }
 
 // WorkloadJob builds a benchmark-application job under the paper's on/off
@@ -107,10 +97,6 @@ func WorkloadJob(name string, uvm, cc bool, overrides ...Override) Job {
 	}
 	return Job{Kind: KindWorkload, Workload: name, UVM: uvm, Mode: mode, Overrides: overrides}
 }
-
-// FigureJob builds a figure-regeneration job. Prefer figures.Jobs, which
-// also marks machine-measuring figures NoCache.
-func FigureJob(id string) Job { return Job{Kind: KindFigure, Figure: id} }
 
 // CNNJob builds a Fig. 13 CNN-training job under the named protection mode.
 func CNNJob(model string, batch int, precision, mode string, overrides ...Override) Job {
@@ -143,8 +129,6 @@ func (j Job) label(withMode bool) string {
 		if j.UVM {
 			b.WriteString("/uvm")
 		}
-	case KindFigure:
-		b.WriteString(j.Figure)
 	case KindCNN:
 		fmt.Fprintf(&b, "%s/b%d/%s", j.Model, j.Batch, j.Precision)
 	case KindLLM:
@@ -154,19 +138,17 @@ func (j Job) label(withMode bool) string {
 	default:
 		fmt.Fprintf(&b, "invalid(%s)", j.Kind)
 	}
-	if j.Kind != KindFigure {
-		if withMode {
-			mode := j.Mode
-			if mode == "" {
-				mode = "off"
-			}
-			b.WriteString("/")
-			b.WriteString(mode)
+	if withMode {
+		mode := j.Mode
+		if mode == "" {
+			mode = "off"
 		}
-		if j.Platform != "" {
-			b.WriteString("@")
-			b.WriteString(j.Platform)
-		}
+		b.WriteString("/")
+		b.WriteString(mode)
+	}
+	if j.Platform != "" {
+		b.WriteString("@")
+		b.WriteString(j.Platform)
 	}
 	for _, o := range j.Overrides {
 		b.WriteString("/")
@@ -184,13 +166,6 @@ func (j Job) Validate() error {
 	case KindWorkload:
 		if _, err := workloads.ByName(j.Workload); err != nil {
 			return err
-		}
-	case KindFigure:
-		if j.Figure == "" {
-			return fmt.Errorf("batch: figure job without a figure id")
-		}
-		if len(j.Overrides) > 0 || j.Config != nil || j.Mode != "" || j.Platform != "" {
-			return fmt.Errorf("batch: figure %s takes no config overrides (figures fix their own configurations)", j.Figure)
 		}
 	case KindCNN:
 		if j.Model == "" || j.Batch <= 0 || j.Precision == "" {

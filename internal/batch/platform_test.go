@@ -136,12 +136,6 @@ func TestValidatePlatformRules(t *testing.T) {
 	if !strings.Contains(err.Error(), "Platform") {
 		t.Errorf("error %q does not explain the Platform/Config conflict", err)
 	}
-
-	f := FigureJob("fig8")
-	f.Platform = "b300-bridge"
-	if err := f.Validate(); err == nil {
-		t.Error("figure job with a platform passed validation (figures fix their own configurations)")
-	}
 }
 
 // TestPlatformEffectiveConfigSeedsProfile: the platform profile seeds the

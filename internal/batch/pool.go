@@ -84,8 +84,7 @@ func (p *Pool) runOne(j Job) Result {
 		return res
 	}
 	res.Key = key
-	cacheable := p.Cache != nil && !j.NoCache
-	if cacheable {
+	if p.Cache != nil {
 		if b, ok := p.Cache.Get(key); ok {
 			var pl Payload
 			if err := json.Unmarshal(b, &pl); err != nil {
@@ -100,12 +99,19 @@ func (p *Pool) runOne(j Job) Result {
 			}
 		}
 	}
-	run, err := runnerFor(j.Kind)
-	if err != nil {
-		res.Err = err
-		return res
+	var pl Payload
+	switch j.Kind {
+	case KindWorkload:
+		pl, err = runWorkload(j)
+	case KindCNN:
+		pl, err = runCNN(j)
+	case KindLLM:
+		pl, err = runLLM(j)
+	case KindServe:
+		pl, err = runServe(j)
+	default:
+		err = fmt.Errorf("unknown job kind %q", j.Kind)
 	}
-	pl, err := run(j)
 	if err != nil {
 		res.Err = fmt.Errorf("batch: %s: %w", j.Label(), err)
 		return res
@@ -117,7 +123,7 @@ func (p *Pool) runOne(j Job) Result {
 	}
 	res.Bytes = b
 	res.Payload = pl
-	if cacheable {
+	if p.Cache != nil {
 		if err := p.Cache.Put(key, b); err != nil {
 			res.Err = err
 		}

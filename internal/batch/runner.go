@@ -1,14 +1,11 @@
 package batch
 
 import (
-	"fmt"
-	"sync"
 	"time"
 
 	"hccsim/internal/core"
 	"hccsim/internal/nn"
 	"hccsim/internal/serve"
-	"hccsim/internal/tab"
 	"hccsim/internal/trace"
 	"hccsim/internal/workloads"
 )
@@ -22,52 +19,11 @@ type Payload struct {
 	// Model and Metrics are set for workload jobs.
 	Model   *core.Model    `json:",omitempty"`
 	Metrics *trace.Metrics `json:",omitempty"`
-	// Table is set for figure jobs.
-	Table *tab.Table `json:",omitempty"`
 	// CNN / LLM are set for the respective training/serving jobs.
 	CNN *nn.TrainResult `json:",omitempty"`
 	LLM *nn.LLMResult   `json:",omitempty"`
 	// Serve is set for request-level serving-traffic jobs.
 	Serve *serve.Report `json:",omitempty"`
-}
-
-// Runner executes one kind of job. The workload, CNN and LLM runners are
-// built in; the figure runner is registered by the figures package at init
-// (batch cannot import figures — figures routes its generation through this
-// package's pool).
-type Runner func(Job) (Payload, error)
-
-var runners = struct {
-	sync.RWMutex
-	m map[Kind]Runner
-}{m: make(map[Kind]Runner)}
-
-// RegisterRunner installs the executor for a job kind; later registrations
-// replace earlier ones.
-func RegisterRunner(k Kind, r Runner) {
-	runners.Lock()
-	defer runners.Unlock()
-	runners.m[k] = r
-}
-
-func runnerFor(k Kind) (Runner, error) {
-	runners.RLock()
-	defer runners.RUnlock()
-	r, ok := runners.m[k]
-	if !ok {
-		if k == KindFigure {
-			return nil, fmt.Errorf("batch: no runner for figure jobs (import hccsim/internal/figures to register it)")
-		}
-		return nil, fmt.Errorf("batch: no runner registered for job kind %q", k)
-	}
-	return r, nil
-}
-
-func init() {
-	RegisterRunner(KindWorkload, runWorkload)
-	RegisterRunner(KindCNN, runCNN)
-	RegisterRunner(KindLLM, runLLM)
-	RegisterRunner(KindServe, runServe)
 }
 
 func runWorkload(j Job) (Payload, error) {

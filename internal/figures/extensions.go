@@ -21,29 +21,6 @@ import (
 // the CC-mode cudaGraph batching question Sec. VII-A explicitly leaves as
 // future work.
 
-// teeioConfig returns a CC config with the TDX Connect projection enabled,
-// panicking on lookup failure — the mode name is a static literal, so a
-// failure is a programming error, not an input error.
-func teeioConfig() cuda.Config {
-	cfg, err := cuda.NewConfig("tee-io-direct")
-	if err != nil {
-		panic(err)
-	}
-	return cfg
-}
-
-// snpConfig returns a CC config on the SEV-SNP cost model (the h100-snp
-// platform profile: same GPU and link, GHCB-based CPU TEE), panicking on
-// lookup failure — the platform and mode names are static literals, so a
-// failure is a programming error, not an input error.
-func snpConfig() cuda.Config {
-	cfg, err := cuda.PlatformConfig("h100-snp", "tdx-h100")
-	if err != nil {
-		panic(err)
-	}
-	return cfg
-}
-
 // ExtTEEIO projects the paper's proposed hardware fix: PCIe TEE-IO / TDX
 // Connect, where the GPU joins the TCB and DMA is hardware-encrypted at
 // line rate. It compares bandwidth and end-to-end app time across legacy
@@ -54,30 +31,22 @@ func ExtTEEIO() Table {
 		Title:   "TEE-IO (TDX Connect) projection vs stock CC",
 		Columns: []string{"metric", "legacy-vm", "tdx-cc", "snp-cc", "tdx-connect"},
 	}
+	// One config per column; SEV-SNP is the h100-snp profile (same GPU and
+	// link, GHCB-based CPU TEE).
+	cfgs := []cuda.Config{cuda.DefaultConfig(false), cuda.DefaultConfig(true),
+		platformConfig("h100-snp", "tdx-h100"), platformConfig(platform.Default, "tee-io-direct")}
 	// 1 GiB pinned H2D bandwidth under each platform.
-	bw := func(cfg cuda.Config) float64 {
-		eng := sim.NewEngine()
-		rt := cuda.New(eng, cfg)
-		var dur time.Duration
-		eng.Spawn("bw", func(p *sim.Proc) {
-			c := rt.Bind(p)
-			h := c.MallocHost("h", 1<<30)
-			d := c.Malloc("d", 1<<30)
-			start := p.Now()
-			c.Memcpy(d, h, 1<<30)
-			dur = time.Duration(p.Now() - start)
-		})
-		eng.Run()
-		return units.RateGBps(1<<30, dur)
+	row := []interface{}{"pinned H2D GB/s"}
+	for _, cfg := range cfgs {
+		row = append(row, modeBW(cfg))
 	}
-	t.AddRow("pinned H2D GB/s",
-		bw(cuda.DefaultConfig(false)), bw(cuda.DefaultConfig(true)), bw(snpConfig()), bw(teeioConfig()))
+	t.AddRow(row...)
 
 	// End-to-end time of two representative apps.
 	for _, name := range []string{"3dconv", "srad"} {
 		spec := mustWorkload(name)
 		row := []interface{}{name + " end-to-end (ms)"}
-		for _, cfg := range []cuda.Config{cuda.DefaultConfig(false), cuda.DefaultConfig(true), snpConfig(), teeioConfig()} {
+		for _, cfg := range cfgs {
 			res := workloads.Execute(spec, workloads.CopyExecute, cfg)
 			row = append(row, ms(time.Duration(res.End)))
 		}
@@ -85,8 +54,8 @@ func ExtTEEIO() Table {
 	}
 	// A UVM app, where TEE-IO restores fault batching too.
 	spec := mustWorkload("2dconv")
-	row := []interface{}{"2dconv UVM end-to-end (ms)"}
-	for _, cfg := range []cuda.Config{cuda.DefaultConfig(false), cuda.DefaultConfig(true), snpConfig(), teeioConfig()} {
+	row = []interface{}{"2dconv UVM end-to-end (ms)"}
+	for _, cfg := range cfgs {
 		res := workloads.Execute(spec, workloads.UVM, cfg)
 		row = append(row, ms(time.Duration(res.End)))
 	}

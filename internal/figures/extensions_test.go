@@ -199,7 +199,9 @@ func TestSNPUVMCheaperHypercalls(t *testing.T) {
 		eng.Spawn("host", func(p *sim.Proc) {
 			c := rt.Bind(p)
 			m := c.MallocManaged("m", 32<<20)
-			m.Managed().GPUAccess(p, 32<<20, false)
+			p.Await(func(a *sim.Actor, step func(any), state any) {
+				m.Managed().GPUAccessAtA(a, 0, 32<<20, false, step, state)
+			})
 			_ = c
 		})
 		return eng.Run()

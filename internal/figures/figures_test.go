@@ -305,19 +305,6 @@ func TestFig12cOverlapShape(t *testing.T) {
 	}
 }
 
-func TestTimelineEventsExport(t *testing.T) {
-	evs, err := TimelineEvents("sc", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) < 3000 { // 1611 launches + 1611 kernels
-		t.Fatalf("sc timeline has %d events", len(evs))
-	}
-	if _, err := TimelineEvents("nope", false); err == nil {
-		t.Fatal("expected error for unknown app")
-	}
-}
-
 func TestFig13Notes(t *testing.T) {
 	tab := Fig13CNN()
 	if len(tab.Rows) != 6*(2*2+2*2+2) { // 6 models x (2 batches x fp32/amp x 2 modes + fp16@1024 x 2)

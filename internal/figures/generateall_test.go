@@ -1,8 +1,11 @@
 package figures
 
-import "testing"
+import (
+	"sync/atomic"
+	"testing"
+)
 
-// TestGenerateAllMatchesSerial asserts the pool changes only wall-clock
+// TestGenerateAllMatchesSerial asserts the fan-out changes only wall-clock
 // time, never content: every deterministic figure renders identically
 // whether generated serially or fanned out across workers. fig4b is
 // excluded — it measures real crypto throughput on the build machine.
@@ -10,9 +13,10 @@ func TestGenerateAllMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure set in -short mode")
 	}
+	volatile := map[string]bool{"fig4b": true}
 	var ids []string
 	for _, id := range IDs() {
-		if !volatileIDs[id] {
+		if !volatile[id] {
 			ids = append(ids, id)
 		}
 	}
@@ -40,18 +44,24 @@ func TestGenerateAllMatchesSerial(t *testing.T) {
 			continue // volatile figure
 		}
 		if got := tab.String(); got != want {
-			t.Errorf("%s differs between serial and pooled generation:\n--- pooled ---\n%s--- serial ---\n%s",
+			t.Errorf("%s differs between serial and parallel generation:\n--- parallel ---\n%s--- serial ---\n%s",
 				tab.ID, got, want)
 		}
 	}
 }
 
-// TestFigureJobsVolatile pins the NoCache marking of machine-measuring
-// figures.
-func TestFigureJobsVolatile(t *testing.T) {
-	for _, j := range Jobs() {
-		if want := volatileIDs[j.Figure]; j.NoCache != want {
-			t.Errorf("%s NoCache=%v, want %v", j.Figure, j.NoCache, want)
+// TestFanOutRunsEachIndexOnce covers the worker counts GenerateAll can be
+// given: GOMAXPROCS (<= 0), serial, and more workers than indices.
+func TestFanOutRunsEachIndexOnce(t *testing.T) {
+	const n = 50
+	for _, workers := range []int{-1, 0, 1, 3, n + 7} {
+		var calls [n]atomic.Int32
+		fanOut(n, workers, func(i int) { calls[i].Add(1) })
+		for i := range calls {
+			if c := calls[i].Load(); c != 1 {
+				t.Errorf("workers=%d: index %d ran %d times", workers, i, c)
+			}
 		}
 	}
+	fanOut(0, 4, func(int) { t.Error("fanOut(0, ...) called do") })
 }

@@ -161,24 +161,6 @@ func Fig10Timelines() Table {
 	return t
 }
 
-// TimelineEvents returns the raw (start, duration) scatter points of launch
-// and kernel events for one app/mode — the full Fig. 10 panel data for
-// plotting or CSV export.
-func TimelineEvents(app string, cc bool) ([]trace.Event, error) {
-	spec, err := workloads.ByName(app)
-	if err != nil {
-		return nil, err
-	}
-	res := runWorkload(spec, workloads.CopyExecute, cc)
-	var out []trace.Event
-	for e := range res.Runtime.Tracer().All() {
-		if e.Kind == trace.KindLaunch || e.Kind == trace.KindKernel {
-			out = append(out, e)
-		}
-	}
-	return out, nil
-}
-
 // Fig11CDFs reproduces Fig. 11: cumulative distributions of KLO and KET
 // pooled across the whole suite, base vs CC, reported at key percentiles.
 // Like the paper, the top 5 launch samples are trimmed from the displayed

@@ -36,8 +36,8 @@ type memoEntry struct {
 	res  any
 }
 
-// runMemo deduplicates concurrent and repeated runs: workers of a figure
-// pool hitting the same key share one simulation, with losers blocking on
+// runMemo deduplicates concurrent and repeated runs: GenerateAll workers
+// hitting the same key share one simulation, with losers blocking on
 // the winner's Once rather than re-simulating.
 type runMemo struct {
 	mu sync.Mutex

@@ -6,6 +6,7 @@ import (
 
 	"hccsim/internal/core"
 	"hccsim/internal/cuda"
+	"hccsim/internal/platform"
 	"hccsim/internal/sim"
 	"hccsim/internal/units"
 	"hccsim/internal/workloads"
@@ -37,7 +38,7 @@ func ExtModes() Table {
 	// Raw transfer path: 1 GiB pinned H2D bandwidth per mode.
 	bws := make([]float64, len(modes))
 	for i, m := range modes {
-		bws[i] = modeBW(modeConfig(m))
+		bws[i] = modeBW(platformConfig(platform.Default, m))
 	}
 	row := []interface{}{"pinned H2D 1 GiB (GB/s)"}
 	for _, b := range bws {
@@ -49,7 +50,7 @@ func ExtModes() Table {
 	// the serialized bridge cannot — its defining cost.
 	row = []interface{}{"concurrent 2x512 MiB H2D+D2H (ms)"}
 	for _, m := range modes {
-		row = append(row, ms(modeBidir(modeConfig(m))))
+		row = append(row, ms(modeBidir(platformConfig(platform.Default, m))))
 	}
 	t.AddRow(row...)
 
@@ -60,7 +61,7 @@ func ExtModes() Table {
 		ends := make([]time.Duration, len(modes))
 		models := make([]core.Model, len(modes))
 		for i, m := range modes {
-			res := workloads.Execute(spec, workloads.CopyExecute, modeConfig(m))
+			res := workloads.Execute(spec, workloads.CopyExecute, platformConfig(platform.Default, m))
 			ends[i] = time.Duration(res.End)
 			models[i] = core.Decompose(res.Runtime.Tracer())
 		}
@@ -82,7 +83,7 @@ func ExtModes() Table {
 	spec := mustWorkload("2dconv")
 	row = []interface{}{"2dconv UVM end-to-end (ms)"}
 	for _, m := range modes {
-		res := workloads.Execute(spec, workloads.UVM, modeConfig(m))
+		res := workloads.Execute(spec, workloads.UVM, platformConfig(platform.Default, m))
 		row = append(row, ms(time.Duration(res.End)))
 	}
 	t.AddRow(row...)
@@ -94,17 +95,6 @@ func ExtModes() Table {
 			gap(bws[1]), gap(bws[2]), gap(bws[3])),
 	)
 	return t
-}
-
-// modeConfig resolves a protection-mode name to a default system config,
-// panicking on unknown names (figure generators use static literals, so a
-// lookup failure is a programming error, not an input error).
-func modeConfig(name string) cuda.Config {
-	cfg, err := cuda.NewConfig(name)
-	if err != nil {
-		panic(err)
-	}
-	return cfg
 }
 
 // modeBW measures 1 GiB pinned H2D bandwidth (GB/s) under cfg.

@@ -7,6 +7,7 @@ import (
 	"hccsim/internal/core"
 	"hccsim/internal/cuda"
 	"hccsim/internal/nn"
+	"hccsim/internal/platform"
 	"hccsim/internal/sim"
 	"hccsim/internal/workloads"
 )
@@ -35,7 +36,7 @@ func spellingPairs() []spellingPair {
 	} {
 		aliased := cuda.DefaultConfig(false)
 		aliased.Mode = p.alias
-		out = append(out, spellingPair{p.alias + "/" + p.canonical, aliased, modeConfig(p.canonical)})
+		out = append(out, spellingPair{p.alias + "/" + p.canonical, aliased, platformConfig(platform.Default, p.canonical)})
 	}
 	return out
 }

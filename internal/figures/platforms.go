@@ -104,8 +104,9 @@ func extPlatforms(profs []platform.Profile) Table {
 }
 
 // platformConfig resolves a (platform, mode) pair, panicking on failure —
-// figure generators use registry-backed names, so a lookup failure is a
-// programming error, not an input error.
+// figure generators use static or registry-backed names, so a lookup
+// failure is a programming error, not an input error. Mode-only callers
+// pass platform.Default.
 func platformConfig(platformName, mode string) cuda.Config {
 	cfg, err := cuda.PlatformConfig(platformName, mode)
 	if err != nil {

@@ -15,7 +15,10 @@ import (
 // post-platform-refactor output too.
 func TestModeSpellingPlatformIdentity(t *testing.T) {
 	for _, mode := range []string{"off", "tdx-h100", "tee-io-bridge"} {
-		implicit := modeConfig(mode)
+		implicit, err := cuda.NewConfig(mode)
+		if err != nil {
+			t.Fatal(err)
+		}
 		explicit, err := cuda.PlatformConfig("h100-tdx", mode)
 		if err != nil {
 			t.Fatal(err)

@@ -2,9 +2,11 @@ package figures
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
-	"hccsim/internal/batch"
 	"hccsim/internal/workloads"
 )
 
@@ -94,26 +96,9 @@ func IDs() []string {
 // Describe returns the one-line description of a figure id.
 func Describe(id string) string { return registry[id].desc }
 
-// volatileIDs are figures that measure the build machine (wall-clock crypto
-// throughput), so their jobs must never be served from a result cache.
-var volatileIDs = map[string]bool{"fig4b": true}
-
-// init registers the figure runner with the batch subsystem: a figure job
-// executes the raw generator. (batch cannot import this package — figure
-// generation itself is routed through batch's pool below.)
-func init() {
-	batch.RegisterRunner(batch.KindFigure, func(j batch.Job) (batch.Payload, error) {
-		t, err := rawGenerate(j.Figure)
-		if err != nil {
-			return batch.Payload{}, err
-		}
-		return batch.Payload{Table: &t}, nil
-	})
-}
-
-// rawGenerate runs the generator for id directly, bypassing the pool,
-// inside a reuse scope, so a figure that repeats a run simulates it once.
-func rawGenerate(id string) (Table, error) {
+// Generate reproduces one figure by id inside a reuse scope, so a figure
+// that repeats a run simulates it once.
+func Generate(id string) (Table, error) {
 	e, ok := registry[id]
 	if !ok {
 		return Table{}, fmt.Errorf("figures: unknown figure %q (known: %v)", id, IDs())
@@ -122,34 +107,9 @@ func rawGenerate(id string) (Table, error) {
 	return e.gen(), nil
 }
 
-// Jobs returns batch jobs for the given figure ids (every figure when none
-// are given), with machine-measuring figures marked NoCache.
-func Jobs(ids ...string) []batch.Job {
-	if len(ids) == 0 {
-		ids = IDs()
-	}
-	jobs := make([]batch.Job, len(ids))
-	for i, id := range ids {
-		jobs[i] = batch.FigureJob(id)
-		jobs[i].NoCache = volatileIDs[id]
-	}
-	return jobs
-}
-
-// Generate reproduces one figure by id. The run is submitted as a batch job
-// (uncached — figure benchmarks rely on regeneration doing real work), so
-// single-figure generation and sweep campaigns share one execution path.
-func Generate(id string) (Table, error) {
-	res := (&batch.Pool{Workers: 1}).Run(Jobs(id))
-	if err := res[0].Err; err != nil {
-		return Table{}, err
-	}
-	return *res[0].Payload.Table, nil
-}
-
 // GenerateAll reproduces every figure, fanning the independent generators
-// out across the batch worker pool (parallel <= 0 means GOMAXPROCS).
-// Results come back in display order; the first failure aborts.
+// out across parallel goroutines (parallel <= 0 means GOMAXPROCS). Results
+// come back in display order; the first failure in that order is returned.
 //
 // The whole fan-out runs inside one sub-result reuse scope: every
 // default-config workload, CNN and LLM simulation is executed once and
@@ -158,13 +118,40 @@ func Generate(id string) (Table, error) {
 // fig13's cells), instead of each figure re-simulating them.
 func GenerateAll(parallel int) ([]Table, error) {
 	defer beginReuse()()
-	results := (&batch.Pool{Workers: parallel}).Run(Jobs())
-	tables := make([]Table, len(results))
-	for i, r := range results {
-		if r.Err != nil {
-			return nil, r.Err
+	ids := IDs()
+	tables := make([]Table, len(ids))
+	errs := make([]error, len(ids))
+	fanOut(len(ids), parallel, func(i int) { tables[i], errs[i] = Generate(ids[i]) })
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		tables[i] = *r.Payload.Table
 	}
 	return tables, nil
+}
+
+// fanOut calls do(i) once for every i in [0, n) on min(workers, n)
+// goroutines (workers <= 0 means GOMAXPROCS). Indices are handed out in
+// order as workers free up, not split up front, so one long generator
+// (fig13, ext-cnnbatch) never holds a queue of short ones behind it.
+func fanOut(n, workers int, do func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(workers, n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				do(i)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -79,7 +79,7 @@ func ExtServing() Table {
 }
 
 // serveMemo caches serve runs across generations: the golden test, the
-// serial/pooled GenerateAll comparison and hccreport all render this
+// serial/parallel GenerateAll comparison and hccreport all render this
 // figure in one process, and each default-workload run costs ~2 s under
 // the race detector. Runs are deterministic, so caching cannot change
 // output.

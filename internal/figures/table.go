@@ -3,13 +3,12 @@
 // generator runs the relevant experiment on the simulator and returns a
 // printable Table; the bench harness at the repository root exposes one
 // testing.B benchmark per figure, and cmd/hccreport renders them from the
-// command line. Generation is routed through the internal/batch worker pool,
-// so regenerating many figures at once (GenerateAll, a full hccreport run)
-// fans out across CPU cores.
+// command line. Regenerating many figures at once (GenerateAll, a full
+// hccreport run) fans the generators out across CPU cores.
 package figures
 
 import "hccsim/internal/tab"
 
 // Table is one reproduced figure as rows and columns. It is an alias of the
-// shared leaf type so batch sweeps and figure generators interoperate.
+// shared leaf type that batch sweeps render too.
 type Table = tab.Table

@@ -47,8 +47,8 @@ type Clock func() time.Time
 //
 // Measure* is the project's one sanctioned wall-clock boundary: the
 // nondeterminism analyzer (internal/analysis) forbids time.Now elsewhere in
-// deterministic packages, figures built on Measure are marked NoCache, and
-// everything downstream (SoftCrypto, the calibration tables) is pure.
+// deterministic packages, figures built on Measure are never cached (figures
+// are not batch jobs), and everything downstream (SoftCrypto, the calibration tables) is pure.
 func Measure(alg Algorithm, bufSize int, budget time.Duration) (float64, error) {
 	return MeasureWithClock(alg, bufSize, budget, time.Now)
 }

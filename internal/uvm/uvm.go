@@ -164,25 +164,6 @@ func (m *Manager) batchSize(random bool) int {
 	return b
 }
 
-// GPUAccess charges the calling process for a GPU-side access touching the
-// first `bytes` of the range (streaming) or `bytes` worth of scattered pages
-// (random). See GPUAccessAt.
-func (r *Range) GPUAccess(p *sim.Proc, bytes int64, random bool) {
-	r.GPUAccessAt(p, 0, bytes, random)
-}
-
-// GPUAccessAt charges a GPU-side access to the window [off, off+bytes) of
-// the range (wrapping at the end). Non-resident pages fault in via batched
-// migrations; resident pages are free. This is called by the compute engine
-// while a kernel runs, so migration time lands inside the kernel's
-// execution (exactly how Nsight sees UVM kernels). Accessing a released
-// range panics.
-func (r *Range) GPUAccessAt(p *sim.Proc, off, bytes int64, random bool) {
-	p.Await(func(a *sim.Actor, step func(any), state any) {
-		r.GPUAccessAtA(a, off, bytes, random, step, state)
-	})
-}
-
 // accessFrame drives one GPUAccessAtA batch loop; recycled through the
 // manager's pool.
 type accessFrame struct {
@@ -196,11 +177,15 @@ type accessFrame struct {
 	state   any
 }
 
-// GPUAccessAtA is the continuation form of GPUAccessAt, used by the GPU
-// command-processor actor while a kernel runs. Residency checks happen
-// synchronously; when every page is resident, step(state) runs inline.
-// Like GPUAccessAt it panics on an access to a released range — the
-// modelled use-after-free.
+// GPUAccessAtA charges a GPU-side access to the window [off, off+bytes) of
+// the range (wrapping at the end) and then calls step(state); random
+// selects scattered pages over streaming. Non-resident pages fault in via
+// batched migrations; resident pages are free. The GPU command-processor
+// actor calls it while a kernel runs, so migration time lands inside the
+// kernel's execution (exactly how Nsight sees UVM kernels). Residency
+// checks happen synchronously; when every page is resident, step(state)
+// runs inline. Accessing a released range panics — the modelled
+// use-after-free.
 func (r *Range) GPUAccessAtA(a *sim.Actor, off, bytes int64, random bool, step func(any), state any) {
 	if r.released {
 		panic("uvm: access to released range")

@@ -34,16 +34,24 @@ func (r *rig) run(body func(p *sim.Proc)) sim.Time {
 	return r.eng.Run()
 }
 
+// gpuAccess charges p for a GPU-side access to the first bytes of rng, the
+// way a kernel's access does through GPUAccessAtA.
+func gpuAccess(p *sim.Proc, rng *Range, bytes int64, random bool) {
+	p.Await(func(a *sim.Actor, step func(any), state any) {
+		rng.GPUAccessAtA(a, 0, bytes, random, step, state)
+	})
+}
+
 func TestFirstTouchMigratesSecondIsFree(t *testing.T) {
 	r := newRig(false)
 	rng := r.mgr.NewRange(4 << 20)
 	var first, second time.Duration
 	r.run(func(p *sim.Proc) {
 		t0 := p.Now()
-		rng.GPUAccess(p, 4<<20, false)
+		gpuAccess(p, rng, 4<<20, false)
 		first = time.Duration(p.Now() - t0)
 		t1 := p.Now()
-		rng.GPUAccess(p, 4<<20, false)
+		gpuAccess(p, rng, 4<<20, false)
 		second = time.Duration(p.Now() - t1)
 	})
 	if first <= 0 {
@@ -61,11 +69,11 @@ func TestCCMigrationMuchSlower(t *testing.T) {
 	const n = 32 << 20
 	base := newRig(false)
 	bRange := base.mgr.NewRange(n)
-	baseEnd := base.run(func(p *sim.Proc) { bRange.GPUAccess(p, n, false) })
+	baseEnd := base.run(func(p *sim.Proc) { gpuAccess(p, bRange, n, false) })
 
 	cc := newRig(true)
 	cRange := cc.mgr.NewRange(n)
-	ccEnd := cc.run(func(p *sim.Proc) { cRange.GPUAccess(p, n, false) })
+	ccEnd := cc.run(func(p *sim.Proc) { gpuAccess(p, cRange, n, false) })
 
 	ratio := float64(ccEnd) / float64(baseEnd)
 	// Encrypted paging: small batches, hypercalls, software AES. The paper
@@ -79,11 +87,11 @@ func TestCCUsesSmallerBatches(t *testing.T) {
 	const n = 8 << 20
 	base := newRig(false)
 	bRange := base.mgr.NewRange(n)
-	base.run(func(p *sim.Proc) { bRange.GPUAccess(p, n, false) })
+	base.run(func(p *sim.Proc) { gpuAccess(p, bRange, n, false) })
 
 	cc := newRig(true)
 	cRange := cc.mgr.NewRange(n)
-	cc.run(func(p *sim.Proc) { cRange.GPUAccess(p, n, false) })
+	cc.run(func(p *sim.Proc) { gpuAccess(p, cRange, n, false) })
 
 	if cc.mgr.Stats().FaultBatches <= base.mgr.Stats().FaultBatches {
 		t.Fatalf("CC batches (%d) not more numerous than base (%d)",
@@ -95,11 +103,11 @@ func TestRandomPatternMoreBatches(t *testing.T) {
 	const n = 8 << 20
 	a := newRig(false)
 	ra := a.mgr.NewRange(n)
-	a.run(func(p *sim.Proc) { ra.GPUAccess(p, n, false) })
+	a.run(func(p *sim.Proc) { gpuAccess(p, ra, n, false) })
 
 	b := newRig(false)
 	rb := b.mgr.NewRange(n)
-	b.run(func(p *sim.Proc) { rb.GPUAccess(p, n, true) })
+	b.run(func(p *sim.Proc) { gpuAccess(p, rb, n, true) })
 
 	if b.mgr.Stats().FaultBatches <= a.mgr.Stats().FaultBatches {
 		t.Fatalf("random pattern batches (%d) not more than streaming (%d)",
@@ -111,7 +119,7 @@ func TestHostAccessWritesBack(t *testing.T) {
 	r := newRig(false)
 	rng := r.mgr.NewRange(2 << 20)
 	r.run(func(p *sim.Proc) {
-		rng.GPUAccess(p, 2<<20, false)
+		gpuAccess(p, rng, 2<<20, false)
 		if rng.ResidentPages() == 0 {
 			t.Error("nothing resident after GPU access")
 		}
@@ -134,8 +142,8 @@ func TestEvictionUnderResidentLimit(t *testing.T) {
 	a := r.mgr.NewRange(2 << 20)
 	b := r.mgr.NewRange(2 << 20)
 	r.run(func(p *sim.Proc) {
-		a.GPUAccess(p, 2<<20, false)
-		b.GPUAccess(p, 2<<20, false) // must evict a
+		gpuAccess(p, a, 2<<20, false)
+		gpuAccess(p, b, 2<<20, false) // must evict a
 	})
 	if a.ResidentPages() != 0 {
 		t.Fatalf("LRU victim still resident: %d pages", a.ResidentPages())
@@ -154,7 +162,7 @@ func TestEvictionUnderResidentLimit(t *testing.T) {
 func TestReleaseDropsResidency(t *testing.T) {
 	r := newRig(false)
 	rng := r.mgr.NewRange(1 << 20)
-	r.run(func(p *sim.Proc) { rng.GPUAccess(p, 1<<20, false) })
+	r.run(func(p *sim.Proc) { gpuAccess(p, rng, 1<<20, false) })
 	rng.Release()
 	if r.mgr.ResidentBytes() != 0 {
 		t.Fatalf("resident bytes %d after release", r.mgr.ResidentBytes())
@@ -177,7 +185,7 @@ func TestAccessReleasedRangePanics(t *testing.T) {
 				t.Error("expected panic accessing released range")
 			}
 		}()
-		rng.GPUAccess(p, 100, false)
+		gpuAccess(p, rng, 100, false)
 	})
 	r.eng.Run()
 }
@@ -185,7 +193,7 @@ func TestAccessReleasedRangePanics(t *testing.T) {
 func TestPartialAccessOnlyMigratesTouchedPages(t *testing.T) {
 	r := newRig(false)
 	rng := r.mgr.NewRange(4 << 20)
-	r.run(func(p *sim.Proc) { rng.GPUAccess(p, 1<<20, false) })
+	r.run(func(p *sim.Proc) { gpuAccess(p, rng, 1<<20, false) })
 	want := int64(1<<20) / defaultParams().PageBytes
 	if rng.ResidentPages() != want {
 		t.Fatalf("resident pages = %d, want %d", rng.ResidentPages(), want)
@@ -226,7 +234,7 @@ func TestPropertyResidencyConservation(t *testing.T) {
 				if op%3 == 0 {
 					rg.HostAccess(p, bytes)
 				} else {
-					rg.GPUAccess(p, bytes, op%5 == 0)
+					gpuAccess(p, rg, bytes, op%5 == 0)
 				}
 			}
 			var sum int64
@@ -253,7 +261,7 @@ func TestPrefetchToStreamsInFullBatches(t *testing.T) {
 	// Fault-driven CC migration of the same footprint is much slower.
 	cc2 := newRig(true)
 	rng2 := cc2.mgr.NewRange(8 << 20)
-	faultEnd := cc2.run(func(p *sim.Proc) { rng2.GPUAccess(p, 8<<20, false) })
+	faultEnd := cc2.run(func(p *sim.Proc) { gpuAccess(p, rng2, 8<<20, false) })
 	if float64(faultEnd) < 3*float64(ccEnd) {
 		t.Fatalf("fault-driven (%v) not much slower than prefetch (%v)", faultEnd, ccEnd)
 	}
