@@ -43,9 +43,10 @@ lint-fix:
 # the root package, the sim engine's interleaving, the cuda stream window's
 # two-stream trace, and each command's stdout), the spelling-equivalence tests (every mode alias, and the empty
 # mode for off, must simulate identically to the canonical name), and the
-# differential tests that hold replayed copies to their step chains.
+# differential tests that hold replayed copies to their step chains and the
+# model's edge sweep to the span-set projection over the whole suite.
 golden:
-	$(GO) test . ./internal/sim ./internal/figures ./internal/cuda ./internal/serve ./cmd/... \
+	$(GO) test . ./internal/sim ./internal/figures ./internal/cuda ./internal/serve ./internal/core ./cmd/... \
 		-run 'Golden|ModeSpelling|Differential' -count=1
 
 # Run each native fuzz target for FUZZTIME beyond its seed corpus (plain

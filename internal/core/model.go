@@ -7,18 +7,26 @@
 // where alpha is the fraction of data movement hidden behind other work and
 // beta the fraction of kernel execution hidden behind launch activity.
 //
-// Decompose extracts the model from a trace by projecting event intervals
-// onto the timeline with the priority B > C > A > D: each category is
-// credited only for timeline it exclusively covers, so the visible parts
-// plus idle reconstruct P exactly — which is also the package's central
-// validation property.
+// Decompose extracts the model from a trace in one sweep over the sorted
+// edges of its intervals. Each stretch between two consecutive edges is
+// credited to one part by the priority B > C_exec > A > C_wait > D, so each
+// part is credited only for timeline it exclusively covers and the visible
+// parts plus idle reconstruct P exactly — which is also the package's
+// central validation property.
+//
+// B is the launch calls plus the raw launch queuing gaps between them, and
+// a gap counts only while no kernel, copy or D work runs in it, mirroring
+// how the analyzer defines LQT; without that cleaning the gaps would
+// swallow copies and kernels and overstate B. C is split: kernel execution
+// ranks above A, a kernel's queue wait below it, because that wait is
+// often caused by a same-stream copy and the time belongs to the copy.
 package core
 
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -26,91 +34,32 @@ import (
 	"hccsim/internal/trace"
 )
 
-// span is a half-open interval [start, end) on the simulated timeline.
-type span struct {
-	s, e sim.Time
+// category is what an interval of the trace holds, for the sweep.
+type category uint8
+
+const (
+	catLaunch category = iota // a launch call (B)
+	catHull                   // the launches' hull, raw LQT gaps included (B)
+	catKernel                 // kernel execution (C)
+	catCopy                   // a copy (A)
+	catWait                   // a kernel's queue wait (C)
+	catOther                  // alloc, free or sync (D)
+	nCategories
+)
+
+// edge opens (delta +1) or closes (delta -1) an interval of category cat.
+type edge struct {
+	at    sim.Time
+	cat   category
+	delta int8
 }
 
-func (x span) dur() time.Duration { return x.e.Sub(x.s) }
-
-// normalize sorts and merges overlapping spans.
-func normalize(xs []span) []span {
-	var out []span
-	sort.Slice(xs, func(i, j int) bool { return xs[i].s < xs[j].s })
-	for _, x := range xs {
-		if x.e <= x.s {
-			continue
-		}
-		if n := len(out); n > 0 && x.s <= out[n-1].e {
-			if x.e > out[n-1].e {
-				out[n-1].e = x.e
-			}
-			continue
-		}
-		out = append(out, x)
+// addSpan appends the edges of [start, end), or nothing when it is empty.
+func addSpan(edges []edge, cat category, start, end sim.Time) []edge {
+	if end <= start {
+		return edges
 	}
-	return out
-}
-
-// measure returns the total length of a normalized span set.
-func measure(xs []span) time.Duration {
-	var d time.Duration
-	for _, x := range xs {
-		d += x.dur()
-	}
-	return d
-}
-
-// subtract returns the parts of xs not covered by the normalized set ys.
-func subtract(xs, ys []span) []span {
-	var out []span
-	for _, x := range xs {
-		cur := x
-		for _, y := range ys {
-			if y.e <= cur.s || y.s >= cur.e {
-				continue
-			}
-			if y.s > cur.s {
-				out = append(out, span{cur.s, y.s})
-			}
-			if y.e >= cur.e {
-				cur.s = cur.e
-				break
-			}
-			cur.s = y.e
-		}
-		if cur.e > cur.s {
-			out = append(out, cur)
-		}
-	}
-	return normalize(out)
-}
-
-// seqSpan is a launch or kernel interval with its correlation id.
-type seqSpan struct {
-	span
-	seq int
-}
-
-func bySeq(a, b seqSpan) int { return cmp.Compare(a.seq, b.seq) }
-
-// queueGaps returns, for each kernel in order, the wait between its launch
-// returning and the kernel starting, when positive. A kernel matches the
-// launch with its correlation id, found by binary search over the launches
-// stably sorted by id, so among launches that share an id the last one in
-// record order is the match; a kernel with no launch has no gap. launches
-// is left as it was.
-func queueGaps(launches, kernels []seqSpan) []span {
-	sorted := slices.Clone(launches)
-	slices.SortStableFunc(sorted, bySeq)
-	var gaps []span
-	for _, k := range kernels {
-		i, _ := slices.BinarySearchFunc(sorted, seqSpan{seq: k.seq + 1}, bySeq)
-		if i > 0 && sorted[i-1].seq == k.seq && k.s > sorted[i-1].e {
-			gaps = append(gaps, span{sorted[i-1].e, k.s})
-		}
-	}
-	return gaps
+	return append(edges, edge{start, cat, 1}, edge{end, cat, -1})
 }
 
 // Model is the fitted Section V decomposition of one application run.
@@ -154,61 +103,52 @@ func Decompose(tr *trace.Tracer) Model {
 	m.KernelTerm = met.KET + met.KQT
 	m.Tother = met.AllocTime + met.FreeTime + met.SyncTime
 
-	// Build category span sets. C is split into execution (kernel events)
-	// and queuing (KQT gaps): a kernel's queue wait is often caused by a
-	// same-stream copy, and that time must be attributed to the copy, not
-	// double-counted as hidden kernel time.
-	var bSpans, cExec, aSpans, dSpans []span
-	launches := make([]seqSpan, 0, met.Launches)
-	kernels := make([]seqSpan, 0, met.Kernels)
+	// The launches' hull is every launch and every raw gap between
+	// consecutive launches: sorted by start, each gap runs from one
+	// launch's end to the next one's start, so launches and gaps together
+	// cover exactly [first start, last end].
+	edges := make([]edge, 0, 2*(tr.Len()+met.Kernels+1))
+	hullStart, hullEnd := sim.Time(math.MaxInt64), sim.Time(math.MinInt64)
 	for e := range tr.All() {
-		x := span{e.Start, e.End}
 		switch e.Kind {
 		case trace.KindLaunch:
-			bSpans = append(bSpans, x)
-			launches = append(launches, seqSpan{x, e.Seq})
+			edges = addSpan(edges, catLaunch, e.Start, e.End)
+			hullStart, hullEnd = min(hullStart, e.Start), max(hullEnd, e.End)
 		case trace.KindKernel:
-			cExec = append(cExec, x)
-			kernels = append(kernels, seqSpan{x, e.Seq})
+			edges = addSpan(edges, catKernel, e.Start, e.End)
 		case trace.KindMemcpyH2D, trace.KindMemcpyD2H, trace.KindMemcpyD2D:
-			aSpans = append(aSpans, x)
+			edges = addSpan(edges, catCopy, e.Start, e.End)
 		case trace.KindAlloc, trace.KindFree, trace.KindSync:
-			dSpans = append(dSpans, x)
+			edges = addSpan(edges, catOther, e.Start, e.End)
 		}
 	}
-	cGaps := queueGaps(launches, kernels)
-	// LQT gaps join B — but only the parts not spent in other traced work,
-	// mirroring how the analyzer defines LQT. Without this cleaning, the
-	// gap spans would swallow copies and kernels and overstate B.
-	sort.Slice(launches, func(i, j int) bool { return launches[i].s < launches[j].s })
-	var rawGaps []span
-	for i := 1; i < len(launches); i++ {
-		if launches[i].s > launches[i-1].e {
-			rawGaps = append(rawGaps, span{launches[i-1].e, launches[i].s})
+	edges = addSpan(edges, catHull, hullStart, hullEnd)
+	// The queue waits are the ones the analyzer's KQT sums.
+	for launchEnd, kernelStart := range tr.KernelWaits() {
+		edges = addSpan(edges, catWait, launchEnd, kernelStart)
+	}
+	slices.SortFunc(edges, func(a, b edge) int { return cmp.Compare(a.at, b.at) })
+
+	// Credit each stretch between consecutive edges by the priority
+	// B > C_exec > A > C_wait > D.
+	var open [nCategories]int
+	for i := 1; i < len(edges); i++ {
+		e := edges[i-1]
+		open[e.cat] += int(e.delta)
+		d := edges[i].at.Sub(e.at)
+		switch {
+		case open[catLaunch] > 0 || open[catHull] > 0 && open[catKernel]+open[catCopy]+open[catOther] == 0:
+			m.VisibleB += d
+		case open[catKernel] > 0:
+			m.VisibleC += d
+		case open[catCopy] > 0:
+			m.VisibleA += d
+		case open[catWait] > 0:
+			m.VisibleC += d
+		case open[catOther] > 0:
+			m.VisibleD += d
 		}
 	}
-	otherWork := normalize(append(append(append([]span{}, cExec...), aSpans...), dSpans...))
-	bSpans = append(bSpans, subtract(normalize(rawGaps), otherWork)...)
-
-	// Priority projection B > C_exec > A > C_gap > D.
-	bSpans = normalize(bSpans)
-	cExec = normalize(cExec)
-	cGaps = normalize(cGaps)
-	aSpans = normalize(aSpans)
-	dSpans = normalize(dSpans)
-
-	cExecVisible := subtract(cExec, bSpans)
-	bc := normalize(append(append([]span{}, bSpans...), cExec...))
-	aVisible := subtract(aSpans, bc)
-	bca := normalize(append(append([]span{}, bc...), aSpans...))
-	cGapVisible := subtract(cGaps, bca)
-	bcac := normalize(append(append([]span{}, bca...), cGaps...))
-	dVisible := subtract(dSpans, bcac)
-
-	m.VisibleB = measure(bSpans)
-	m.VisibleC = measure(cExecVisible) + measure(cGapVisible)
-	m.VisibleA = measure(aVisible)
-	m.VisibleD = measure(dVisible)
 
 	m.Total = tr.Span()
 	covered := m.VisibleB + m.VisibleC + m.VisibleA + m.VisibleD

@@ -3,7 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
-	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -12,7 +12,167 @@ import (
 	"hccsim/internal/gpu"
 	"hccsim/internal/sim"
 	"hccsim/internal/trace"
+	"hccsim/internal/workloads"
 )
+
+// span is a half-open interval [start, end) on the simulated timeline.
+type span struct {
+	s, e sim.Time
+}
+
+func (x span) dur() time.Duration { return x.e.Sub(x.s) }
+
+// normalize sorts and merges overlapping spans.
+func normalize(xs []span) []span {
+	var out []span
+	sort.Slice(xs, func(i, j int) bool { return xs[i].s < xs[j].s })
+	for _, x := range xs {
+		if x.e <= x.s {
+			continue
+		}
+		if n := len(out); n > 0 && x.s <= out[n-1].e {
+			if x.e > out[n-1].e {
+				out[n-1].e = x.e
+			}
+			continue
+		}
+		out = append(out, x)
+	}
+	return out
+}
+
+// measure returns the total length of a normalized span set.
+func measure(xs []span) time.Duration {
+	var d time.Duration
+	for _, x := range xs {
+		d += x.dur()
+	}
+	return d
+}
+
+// subtract returns the parts of xs not covered by the normalized set ys.
+func subtract(xs, ys []span) []span {
+	var out []span
+	for _, x := range xs {
+		cur := x
+		for _, y := range ys {
+			if y.e <= cur.s || y.s >= cur.e {
+				continue
+			}
+			if y.s > cur.s {
+				out = append(out, span{cur.s, y.s})
+			}
+			if y.e >= cur.e {
+				cur.s = cur.e
+				break
+			}
+			cur.s = y.e
+		}
+		if cur.e > cur.s {
+			out = append(out, cur)
+		}
+	}
+	return normalize(out)
+}
+
+// seqSpan is a launch interval with its correlation id.
+type seqSpan struct {
+	span
+	seq int
+}
+
+// decomposeRef is the reference for Decompose: the span-set projection
+// that builds each category's spans, normalizes them, and subtracts the
+// union of the higher-priority ones. Kernels match launches through a map
+// by correlation id written in start order, the last write winning.
+func decomposeRef(tr *trace.Tracer) Model {
+	m := Model{}
+	if tr.Len() == 0 {
+		return m
+	}
+	met := tr.Analyze()
+	m.KLO, m.LQT, m.KET, m.KQT = met.KLO, met.LQT, met.KET, met.KQT
+	m.CopyH2D, m.CopyD2H, m.CopyD2D = met.CopyH2D, met.CopyD2H, met.CopyD2D
+	m.Alloc, m.Free, m.Sync = met.AllocTime, met.FreeTime, met.SyncTime
+	m.Launches, m.Kernels = met.Launches, met.Kernels
+	m.Tmem = met.CopyH2D + met.CopyD2H + met.CopyD2D
+	m.LaunchTerm = met.KLO + met.LQT
+	m.KernelTerm = met.KET + met.KQT
+	m.Tother = met.AllocTime + met.FreeTime + met.SyncTime
+
+	// Build category span sets. C is split into execution (kernel events)
+	// and queuing (KQT gaps).
+	var bSpans, cExec, aSpans, dSpans []span
+	var launches, kernels []seqSpan
+	for e := range tr.All() {
+		x := span{e.Start, e.End}
+		switch e.Kind {
+		case trace.KindLaunch:
+			bSpans = append(bSpans, x)
+			launches = append(launches, seqSpan{x, e.Seq})
+		case trace.KindKernel:
+			cExec = append(cExec, x)
+			kernels = append(kernels, seqSpan{x, e.Seq})
+		case trace.KindMemcpyH2D, trace.KindMemcpyD2H, trace.KindMemcpyD2D:
+			aSpans = append(aSpans, x)
+		case trace.KindAlloc, trace.KindFree, trace.KindSync:
+			dSpans = append(dSpans, x)
+		}
+	}
+	sort.Slice(launches, func(i, j int) bool { return launches[i].s < launches[j].s })
+	bySeq := make(map[int]seqSpan)
+	for _, l := range launches {
+		bySeq[l.seq] = l
+	}
+	var cGaps []span
+	for _, k := range kernels {
+		if l, ok := bySeq[k.seq]; ok && k.s > l.e {
+			cGaps = append(cGaps, span{l.e, k.s})
+		}
+	}
+	// LQT gaps join B, but only the parts not spent in other traced work.
+	var rawGaps []span
+	for i := 1; i < len(launches); i++ {
+		if launches[i].s > launches[i-1].e {
+			rawGaps = append(rawGaps, span{launches[i-1].e, launches[i].s})
+		}
+	}
+	otherWork := normalize(append(append(append([]span{}, cExec...), aSpans...), dSpans...))
+	bSpans = append(bSpans, subtract(normalize(rawGaps), otherWork)...)
+
+	// Priority projection B > C_exec > A > C_gap > D.
+	bSpans = normalize(bSpans)
+	cExec = normalize(cExec)
+	cGaps = normalize(cGaps)
+	aSpans = normalize(aSpans)
+	dSpans = normalize(dSpans)
+
+	cExecVisible := subtract(cExec, bSpans)
+	bc := normalize(append(append([]span{}, bSpans...), cExec...))
+	aVisible := subtract(aSpans, bc)
+	bca := normalize(append(append([]span{}, bc...), aSpans...))
+	cGapVisible := subtract(cGaps, bca)
+	bcac := normalize(append(append([]span{}, bca...), cGaps...))
+	dVisible := subtract(dSpans, bcac)
+
+	m.VisibleB = measure(bSpans)
+	m.VisibleC = measure(cExecVisible) + measure(cGapVisible)
+	m.VisibleA = measure(aVisible)
+	m.VisibleD = measure(dVisible)
+
+	m.Total = tr.Span()
+	covered := m.VisibleB + m.VisibleC + m.VisibleA + m.VisibleD
+	if m.Total > covered {
+		m.Idle = m.Total - covered
+	}
+	if m.Tmem > 0 {
+		m.Alpha = clamp01(1 - float64(m.VisibleA)/float64(m.Tmem))
+	}
+	if m.KernelTerm > 0 {
+		m.Beta = clamp01(1 - float64(m.VisibleC)/float64(m.KernelTerm))
+	}
+	return m
+}
 
 func TestSpanArithmetic(t *testing.T) {
 	xs := normalize([]span{{5, 10}, {0, 3}, {9, 12}, {2, 2}})
@@ -41,57 +201,75 @@ func TestDecomposeNilTracer(t *testing.T) {
 	}
 }
 
-// mapQueueGaps is the reference for queueGaps: launches written into a map
-// by correlation id in record order, the last write winning, and each
-// kernel matched through it.
-func mapQueueGaps(launches, kernels []seqSpan) []span {
-	bySeq := make(map[int]seqSpan)
-	for _, l := range launches {
-		bySeq[l.seq] = l
+// randomTrace records a random trace of n activities over [0, horizon):
+// launches with tied starts, graph-style kernels sharing a launch, launches
+// sharing a correlation id, kernels whose launch was never recorded,
+// zero-length events, fault batches and overlapping copies, allocs, frees
+// and syncs.
+func randomTrace(rng *rand.Rand, n int, horizon int64) *trace.Tracer {
+	tr := trace.New()
+	var seqs []int
+	at := func() sim.Time { return sim.Time(rng.Int63n(horizon)) }
+	dur := func(limit int64) sim.Time {
+		if rng.Intn(8) == 0 {
+			return 0 // a zero-length event
+		}
+		return sim.Time(rng.Int63n(limit))
 	}
-	var gaps []span
-	for _, k := range kernels {
-		if l, ok := bySeq[k.seq]; ok && k.s > l.e {
-			gaps = append(gaps, span{l.e, k.s})
+	others := []trace.Kind{
+		trace.KindMemcpyH2D, trace.KindMemcpyD2H, trace.KindMemcpyD2D,
+		trace.KindAlloc, trace.KindFree, trace.KindSync, trace.KindFaultBatch,
+	}
+	for i := 0; i < n; i++ {
+		if rng.Intn(2) == 0 {
+			k := others[rng.Intn(len(others))]
+			s := at()
+			tr.Record(trace.Event{Kind: k, Start: s, End: s + dur(horizon/8+1)})
+			continue
+		}
+		seq := tr.NextSeq()
+		if len(seqs) > 0 && rng.Intn(6) == 0 {
+			seq = seqs[rng.Intn(len(seqs))] // a shared correlation id
+		}
+		seqs = append(seqs, seq)
+		s := at()
+		if rng.Intn(6) == 0 {
+			s = sim.Time(horizon / 2) // a tied start
+		}
+		if rng.Intn(8) > 0 { // else an orphan kernel's id
+			tr.Record(trace.Event{Kind: trace.KindLaunch, Start: s, End: s + dur(40), Seq: seq})
+		}
+		for k := rng.Intn(3); k > 0; k-- {
+			ks := s + sim.Time(rng.Int63n(200)) - 20
+			tr.Record(trace.Event{Kind: trace.KindKernel, Start: ks, End: ks + dur(300), Seq: seq})
 		}
 	}
-	return gaps
+	return tr
 }
 
-// Property: binary search over launches stably sorted by correlation id
-// finds the gaps of the map reference, on random traces with graph-style
-// kernels sharing one launch, launches sharing an id (some with a tied
-// start), and kernels whose launch was never recorded; the launches stay
-// in record order.
-func TestPropertyQueueGapsMatchMap(t *testing.T) {
-	for seed := int64(1); seed <= 300; seed++ {
+// Property: the edge sweep equals the span-set projection field for field
+// on random traces.
+func TestPropertyDecomposeMatchesRef(t *testing.T) {
+	for seed := int64(1); seed <= 2000; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		var launches, kernels []seqSpan
-		for i, n := 0, rng.Intn(80); i < n; i++ {
-			start := sim.Time(rng.Int63n(2000))
-			end := start + sim.Time(rng.Int63n(40))
-			seq := i + 1
-			if i > 0 && rng.Intn(4) == 0 {
-				seq = rng.Intn(i) + 1 // an id shared with an earlier one
-				if rng.Intn(2) == 0 {
-					start, end = 500, 500+sim.Time(rng.Int63n(40)) // and a tied start
+		tr := randomTrace(rng, rng.Intn(60), 50+rng.Int63n(3000))
+		if got, want := Decompose(tr), decomposeRef(tr); got != want {
+			t.Fatalf("seed %d:\nDecompose    %+v\ndecomposeRef %+v", seed, got, want)
+		}
+	}
+}
+
+// Differential: the edge sweep equals the span-set projection on every
+// suite application, in copy and UVM form, with CC off and on.
+func TestDifferentialDecomposeSuite(t *testing.T) {
+	for _, spec := range workloads.All() {
+		for _, mode := range []workloads.Mode{workloads.CopyExecute, workloads.UVM} {
+			for _, cc := range []bool{false, true} {
+				tr := workloads.Execute(spec, mode, cuda.DefaultConfig(cc)).Runtime.Tracer()
+				if got, want := Decompose(tr), decomposeRef(tr); got != want {
+					t.Errorf("%s/%v/cc=%v:\nDecompose    %+v\ndecomposeRef %+v", spec.Name, mode, cc, got, want)
 				}
 			}
-			if rng.Intn(6) > 0 {
-				launches = append(launches, seqSpan{span{start, end}, seq})
-			}
-			for k := rng.Intn(4); k > 0; k-- {
-				ks := sim.Time(rng.Int63n(2500))
-				kernels = append(kernels, seqSpan{span{ks, ks + sim.Time(rng.Int63n(50))}, seq})
-			}
-		}
-		recordOrder := slices.Clone(launches)
-		got, want := queueGaps(launches, kernels), mapQueueGaps(launches, kernels)
-		if !slices.Equal(got, want) {
-			t.Fatalf("seed %d: gaps %v, map reference %v", seed, got, want)
-		}
-		if !slices.Equal(launches, recordOrder) {
-			t.Fatalf("seed %d: queueGaps reordered the launches", seed)
 		}
 	}
 }

@@ -91,9 +91,6 @@ func (c *Context) MallocOn(devID int, label string, size int64) *Buffer {
 	return b
 }
 
-// DeviceID returns the GPU a device buffer lives on (0 for host buffers).
-func (b *Buffer) DeviceID() int { return b.devID }
-
 // MemcpyPeer copies between device buffers on different GPUs
 // (cudaMemcpyPeer). Over NVLink the transfer is direct and CC-neutral (the
 // bridge is inside the attested TCB). Without NVLink it is routed through

@@ -73,26 +73,6 @@ type KernelSpec struct {
 	Managed   []ManagedAccess
 }
 
-// Fuse combines kernels into one: work and code size add, launch count
-// drops to one. This is the source-level kernel fusion of Sec. VII-A.
-func Fuse(name string, specs ...KernelSpec) KernelSpec {
-	out := KernelSpec{Name: name}
-	for _, s := range specs {
-		out.FLOPs += s.FLOPs
-		out.MemBytes += s.MemBytes
-		out.Fixed += s.Fixed
-		out.CodeBytes += s.CodeBytes
-		if s.Blocks > out.Blocks {
-			out.Blocks = s.Blocks
-		}
-		if s.ThreadsPerBlock > out.ThreadsPerBlock {
-			out.ThreadsPerBlock = s.ThreadsPerBlock
-		}
-		out.Managed = append(out.Managed, s.Managed...)
-	}
-	return out
-}
-
 // Device is one GPU bound to a guest platform.
 type Device struct {
 	eng    *sim.Engine

@@ -233,18 +233,6 @@ func TestTransferDDUnaffectedByCC(t *testing.T) {
 	}
 }
 
-func TestFuseCombinesWork(t *testing.T) {
-	a := KernelSpec{Name: "a", FLOPs: 10, MemBytes: 5, CodeBytes: 100, Blocks: 8, ThreadsPerBlock: 128}
-	b := KernelSpec{Name: "b", FLOPs: 20, MemBytes: 7, CodeBytes: 50, Blocks: 4, ThreadsPerBlock: 256}
-	f := Fuse("ab", a, b)
-	if f.FLOPs != 30 || f.MemBytes != 12 || f.CodeBytes != 150 {
-		t.Fatalf("fused work wrong: %+v", f)
-	}
-	if f.Blocks != 8 || f.ThreadsPerBlock != 256 {
-		t.Fatalf("fused dims wrong: %+v", f)
-	}
-}
-
 func TestMarkerFiresAfterPriorWork(t *testing.T) {
 	r := newRig(false)
 	ch := r.dev.NewChannel()

@@ -129,8 +129,7 @@ type NVLinkParams struct {
 // are value types — callers copy the exported param bundles into a
 // cuda.Config and cannot corrupt the registry through them.
 type Profile struct {
-	name        string
-	description string
+	name string
 	// native is the canonical name of the platform's flagship CC mode —
 	// what CC-on means on this hardware (off vs native is the headline
 	// comparison of the cross-platform figures).
@@ -151,9 +150,6 @@ type Profile struct {
 
 // Name returns the canonical platform name.
 func (p Profile) Name() string { return p.name }
-
-// Description is a one-line account of the modelled hardware.
-func (p Profile) Description() string { return p.description }
 
 // NativeMode returns the canonical name of the platform's flagship
 // confidential-computing mode.

@@ -58,9 +58,6 @@ func TestNamesMatchesRegistry(t *testing.T) {
 		if p.Name() != names[i] {
 			t.Errorf("Profiles()[%d] = %s, Names()[%d] = %s", i, p.Name(), i, names[i])
 		}
-		if p.Description() == "" {
-			t.Errorf("%s has no description", p.Name())
-		}
 		if !p.AllowsMode(p.NativeMode()) {
 			t.Errorf("%s does not allow its own native mode %s", p.Name(), p.NativeMode())
 		}

@@ -25,9 +25,7 @@ var registry = []Profile{h100TDX(), h100SNP(), b300Bridge(), gh200C2C()}
 // (TDX Connect on the same machine), not shipping hardware.
 func h100TDX() Profile {
 	return Profile{
-		name: "h100-tdx",
-		description: "dual Xeon 6530 Gold + H100 NVL over PCIe 5.0, TDX 1.5 " +
-			"(the paper's Table I testbed; tee-io-* modes are its projections)",
+		name:   "h100-tdx",
 		native: "tdx-h100",
 		modes:  []string{"off", "tdx-h100", "tee-io-direct", "tee-io-bridge"},
 		TDX: tdx.Params{
@@ -134,8 +132,6 @@ func h100Host() HostParams {
 func h100SNP() Profile {
 	p := h100TDX()
 	p.name = "h100-snp"
-	p.description = "EPYC Genoa SEV-SNP host + H100 NVL over PCIe 5.0 " +
-		"(GHCB exits cheaper than SEAM, RMP page-state changes dearer than SEPT)"
 	p.native = "tdx-h100"
 	p.modes = []string{"off", "tdx-h100"}
 	p.TDX.Hypercall = 9200 * time.Nanosecond   // VMGEXIT round trip
@@ -155,8 +151,6 @@ func h100SNP() Profile {
 func b300Bridge() Profile {
 	p := h100TDX()
 	p.name = "b300-bridge"
-	p.description = "Xeon TDX host + Blackwell B300 over PCIe 6.0 with native GPU-CC " +
-		"(full-rate GPU-local work, serialized encrypted CPU-GPU bridge)"
 	p.native = "tee-io-bridge"
 	p.modes = []string{"off", "tee-io-bridge"}
 	p.GPU = gpu.Params{
@@ -194,8 +188,6 @@ func b300Bridge() Profile {
 func gh200C2C() Profile {
 	p := h100TDX()
 	p.name = "gh200-c2c"
-	p.description = "Grace-Hopper GH200 with CCA-style realm CPU TEE and " +
-		"NVLink-C2C attach (trusted device, hardware IDE, no bounce buffer)"
 	p.native = "tee-io-direct"
 	p.modes = []string{"off", "tee-io-direct"}
 	p.TDX.VMExit = 1800 * time.Nanosecond

@@ -58,14 +58,6 @@ func (a *Actor) Name() string { return a.name }
 // Now returns the current simulated time.
 func (a *Actor) Now() Time { return a.eng.now }
 
-// NewActor registers a non-daemon actor whose first step the caller will run
-// or schedule itself. Use it to hand a Proc's control flow over to an actor
-// state machine inline (the Proc sets up, calls the first step, returns);
-// the actor then keeps the engine's Run alive until Done is called.
-func (e *Engine) NewActor(name string) *Actor {
-	return e.newActor(name, false)
-}
-
 // SpawnActor registers a non-daemon actor and schedules start to run at the
 // current simulated time — the actor counterpart of Spawn. The engine's Run
 // does not return until the actor calls Done.

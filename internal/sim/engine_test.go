@@ -715,7 +715,7 @@ func TestWaitAll(t *testing.T) {
 func TestResourceAccessors(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, 3)
-	if r.Capacity() != 3 || r.InUse() != 0 || r.QueueLen() != 0 {
+	if r.Capacity() != 3 || !r.Idle() {
 		t.Fatal("resource accessors wrong")
 	}
 	q := NewQueue[int](e)

@@ -126,7 +126,7 @@ func TestQueueConstantDepthBoundsBacking(t *testing.T) {
 	const depth = 8
 	e := NewEngine()
 	q := NewQueue[int](e)
-	a := e.NewActor("consumer")
+	a := e.newActor("consumer", false)
 	next := 0
 	step := func(_ any, v int) {
 		if v != next {

@@ -38,12 +38,6 @@ func (r *Resource) SetLabel(label string) *Resource {
 // Capacity returns the total number of units.
 func (r *Resource) Capacity() int { return r.capacity }
 
-// InUse returns the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
-// QueueLen returns the number of tasks blocked in Acquire.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
-
 // Idle reports whether no unit is held and no task waits for one.
 func (r *Resource) Idle() bool { return r.inUse == 0 && len(r.waiters) == 0 }
 

@@ -18,7 +18,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -400,7 +399,6 @@ func (t *Tracer) analyze() Metrics {
 		m.KETs = make([]time.Duration, 0, m.Kernels)
 	}
 	launches := make([]interval, 0, m.Launches)
-	kernels := make([]interval, 0, m.Kernels)
 	busy := make([]interval, 0, nBusy) // host-side API events for gap accounting
 	for r := range t.eventRecords() {
 		iv := interval{r.start, r.end, r.seq}
@@ -414,7 +412,6 @@ func (t *Tracer) analyze() Metrics {
 		case KindKernel:
 			m.KET += d
 			m.KETs = append(m.KETs, d)
-			kernels = append(kernels, iv)
 		case KindMemcpyH2D:
 			m.CopyH2D += d
 			busy = append(busy, iv)
@@ -457,7 +454,9 @@ func (t *Tracer) analyze() Metrics {
 		if gapEnd <= gapStart {
 			continue
 		}
-		from := sort.Search(len(reach), func(j int) bool { return reach[j] > gapStart })
+		// reach is nondecreasing and times are integer nanoseconds, so the
+		// first reach >= gapStart+1 is the first to pass gapStart.
+		from, _ := slices.BinarySearch(reach, gapStart+1)
 		covered := overlapWith(busy[from:], gapStart, gapEnd, launches[i].seq, launches[i-1].seq)
 		gap := gapEnd.Sub(gapStart) - covered
 		if gap > 0 {
@@ -465,19 +464,59 @@ func (t *Tracer) analyze() Metrics {
 		}
 	}
 
-	// KQT: match kernels to launches by correlation id. A stable sort by
-	// seq keeps launches that share one in start order, and the last of
-	// them is the match.
-	slices.SortStableFunc(launches, bySeq)
-	for _, k := range kernels {
-		i, _ := slices.BinarySearchFunc(launches, interval{seq: k.seq + 1}, bySeq)
-		if i > 0 && launches[i-1].seq == k.seq {
-			if q := k.start.Sub(launches[i-1].end); q > 0 {
-				m.KQT += q
+	// KQT: launches are in start order here, as KernelWaits sorts them.
+	for launchEnd, kernelStart := range t.kernelWaits(launches) {
+		m.KQT += kernelStart.Sub(launchEnd)
+	}
+	return m
+}
+
+// KernelWaits iterates the kernels in completion order and yields, for
+// each that started after its launch returned, that launch's end and the
+// kernel's start: the kernel's queuing time (KQT). A kernel matches the
+// launch with its correlation id; among launches that share one, the last
+// in start order matches. A kernel with no recorded launch yields nothing.
+// It yields nothing on a nil tracer.
+func (t *Tracer) KernelWaits() iter.Seq2[sim.Time, sim.Time] {
+	return func(yield func(sim.Time, sim.Time) bool) {
+		if t == nil {
+			return
+		}
+		n := 0
+		for r := range t.eventRecords() {
+			if Kind(r.kind) == KindLaunch {
+				n++
+			}
+		}
+		launches := make([]interval, 0, n)
+		for r := range t.eventRecords() {
+			if Kind(r.kind) == KindLaunch {
+				launches = append(launches, interval{r.start, r.end, r.seq})
+			}
+		}
+		slices.SortFunc(launches, byStart)
+		t.kernelWaits(launches)(yield)
+	}
+}
+
+// kernelWaits is KernelWaits over launches already sorted by start, which
+// it reorders when iterated: a stable sort by seq keeps launches that share
+// one in start order, so the last of them is the one a binary search finds.
+func (t *Tracer) kernelWaits(launches []interval) iter.Seq2[sim.Time, sim.Time] {
+	return func(yield func(sim.Time, sim.Time) bool) {
+		slices.SortStableFunc(launches, bySeq)
+		for r := range t.eventRecords() {
+			if Kind(r.kind) != KindKernel {
+				continue
+			}
+			i, _ := slices.BinarySearchFunc(launches, interval{seq: r.seq + 1}, bySeq)
+			if i > 0 && launches[i-1].seq == r.seq && r.start > launches[i-1].end {
+				if !yield(launches[i-1].end, r.start) {
+					return
+				}
 			}
 		}
 	}
-	return m
 }
 
 // overlapWith sums the portions of [start, end] covered by busy intervals
@@ -510,7 +549,7 @@ func CDF(samples []time.Duration, trimTop int) (xs []time.Duration, ps []float64
 		return nil, nil
 	}
 	xs = append([]time.Duration(nil), samples...)
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
+	slices.Sort(xs)
 	if trimTop > 0 && trimTop < len(xs) {
 		xs = xs[:len(xs)-trimTop]
 	}

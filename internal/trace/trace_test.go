@@ -284,10 +284,11 @@ func TestPropertyLQTMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// mapKQT is the reference KQT: launches sorted by start into a map by
-// correlation id, the last one written winning, and each kernel matched
-// through it.
-func mapKQT(events []Event) time.Duration {
+// mapKernelWaits is the reference for KernelWaits: launches sorted by
+// start into a map by correlation id, the last one written winning, and
+// each kernel matched through it, giving [launch end, kernel start] when
+// the kernel started later.
+func mapKernelWaits(events []Event) [][2]sim.Time {
 	var launches []Event
 	for _, e := range events {
 		if e.Kind == KindLaunch {
@@ -299,21 +300,41 @@ func mapKQT(events []Event) time.Duration {
 	for _, l := range launches {
 		bySeq[l.Seq] = l
 	}
-	var kqt time.Duration
+	var waits [][2]sim.Time
 	for _, e := range events {
-		if l, ok := bySeq[e.Seq]; ok && e.Kind == KindKernel {
-			if q := e.Start.Sub(l.End); q > 0 {
-				kqt += q
-			}
+		if l, ok := bySeq[e.Seq]; ok && e.Kind == KindKernel && e.Start > l.End {
+			waits = append(waits, [2]sim.Time{l.End, e.Start})
 		}
 	}
-	return kqt
+	return waits
+}
+
+// checkKernelWaits reports where KernelWaits or the analyzed KQT
+// disagrees with the map reference over the recorded events.
+func checkKernelWaits(tr *Tracer, events []Event) error {
+	want := mapKernelWaits(events)
+	var got [][2]sim.Time
+	for launchEnd, kernelStart := range tr.KernelWaits() {
+		got = append(got, [2]sim.Time{launchEnd, kernelStart})
+	}
+	if !slices.Equal(got, want) {
+		return fmt.Errorf("KernelWaits = %v, map reference %v", got, want)
+	}
+	var kqt time.Duration
+	for _, w := range want {
+		kqt += w[1].Sub(w[0])
+	}
+	if m := tr.Analyze(); m.KQT != kqt {
+		return fmt.Errorf("KQT = %v, map reference %v", m.KQT, kqt)
+	}
+	return nil
 }
 
 // Property: matching kernels to launches by binary search over compact
-// records gives the map reference's KQT on random traces with graph-style
-// kernels sharing one launch, launches sharing a correlation id (some at
-// the same start), and kernels whose launch was never recorded.
+// records yields the map reference's waits, and sums them to its KQT, on
+// random traces with graph-style kernels sharing one launch, launches
+// sharing a correlation id (some at the same start), and kernels whose
+// launch was never recorded.
 func TestPropertyKQTMatchesMap(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -338,9 +359,30 @@ func TestPropertyKQTMatchesMap(t *testing.T) {
 				tr.Record(ev(KindKernel, ks, ks+rng.Int63n(50), seq))
 			}
 		}
-		if got, want := tr.Analyze().KQT, mapKQT(slices.Collect(tr.All())); got != want {
-			t.Fatalf("seed %d: KQT = %v, map reference %v", seed, got, want)
+		if err := checkKernelWaits(tr, slices.Collect(tr.All())); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
+	}
+}
+
+func TestKernelWaitsNilTracerAndEarlyStop(t *testing.T) {
+	var nilTr *Tracer
+	for range nilTr.KernelWaits() {
+		t.Fatal("nil tracer yielded a wait")
+	}
+	tr := New()
+	for i := int64(0); i < 3; i++ {
+		seq := tr.NextSeq()
+		tr.Record(ev(KindLaunch, 10*i, 10*i+2, seq))
+		tr.Record(ev(KindKernel, 10*i+5, 10*i+9, seq))
+	}
+	n := 0
+	for range tr.KernelWaits() {
+		n++
+		break
+	}
+	if n != 1 {
+		t.Fatalf("stopped iteration yielded %d waits", n)
 	}
 }
 
@@ -668,8 +710,8 @@ func FuzzTraceLog(f *testing.F) {
 		if lqt := bruteForceLQT(want); m.LQT != lqt {
 			t.Fatalf("LQT = %v, brute force %v", m.LQT, lqt)
 		}
-		if kqt := mapKQT(want); m.KQT != kqt {
-			t.Fatalf("KQT = %v, map reference %v", m.KQT, kqt)
+		if err := checkKernelWaits(tr, want); err != nil {
+			t.Fatal(err)
 		}
 	})
 }
