@@ -3,8 +3,9 @@
 // workloads, CNN training cells, LLM serving cells, or serving-traffic
 // cells), protection modes, and named configuration-parameter values, executed
 // concurrently with content-addressed result caching. Results are
-// deterministic — the output is byte-identical at any -parallel level, and
-// a warm cache skips re-simulation entirely.
+// deterministic — jobs that share a cache key run once (the first one
+// listed is kept), so the output is byte-identical at any -parallel level,
+// and a warm cache skips re-simulation entirely.
 //
 // Example — the Fig. 5 transfer crossover as a PCIe-bandwidth grid:
 //
@@ -16,8 +17,8 @@
 //
 //	hccsweep -workloads gemm,atax -param cc.mode=off,tdx-h100,tee-io-bridge
 //
-// Hardware platforms are an axis as well, via -platforms or the hw.platform
-// grid axis — each named platform swaps in a full calibration profile:
+// Hardware platforms are an axis as well, via the hw.platform grid axis —
+// each named platform swaps in a full calibration profile:
 //
 //	hccsweep -workloads gemm,2dconv -modes off,tee-io-bridge \
 //	    -param hw.platform=h100-tdx,b300-bridge
@@ -38,7 +39,6 @@ import (
 	"hccsim/internal/batch"
 	"hccsim/internal/bench"
 	"hccsim/internal/ccmode"
-	"hccsim/internal/platform"
 	"hccsim/internal/workloads"
 )
 
@@ -74,7 +74,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	serves := fs.String("serve", "", "serving-traffic cells backend:quant:rateQPS, comma list (e.g. vllm:bf16:1.4); sweep rates with -param serve.rate=...")
 	uvm := fs.Bool("uvm", false, "also sweep the UVM variant of UVM-capable workloads")
 	modes := fs.String("modes", "off,tdx-h100", "comma list of protection-mode names (off, tdx-h100, tee-io-direct, tee-io-bridge, optionally +pipelined)")
-	platforms := fs.String("platforms", "", "comma list of hardware-platform names (see hw.platform axis); sweeps every job across each platform")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool size (1 = serial)")
 	cacheDir := fs.String("cache", "", "on-disk result cache directory (empty = in-memory only)")
 	format := fs.String("format", "table", "output format: table, csv or json")
@@ -108,11 +107,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	platformNames, err := parsePlatforms(*platforms, axes)
-	if err != nil {
-		return fail(err)
-	}
-	jobs, err := buildJobs(*apps, *cnns, *llms, *serves, *uvm, *modes, platformNames, axes)
+	jobs, err := buildJobs(*apps, *cnns, *llms, *serves, *uvm, *modes, axes)
 	if err != nil {
 		return fail(err)
 	}
@@ -121,10 +116,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	for _, j := range jobs {
-		if err := j.Validate(); err != nil {
-			return fail(err)
-		}
+	if jobs, err = dedupe(jobs); err != nil {
+		return fail(err)
 	}
 
 	stopProf, err := prof.Start()
@@ -165,32 +158,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// parsePlatforms validates the -platforms flag up front — every name must
-// resolve through the platform registry before any job runs — and rejects
-// combining the flag with an hw.platform axis, which would silently square
-// the platform dimension.
-func parsePlatforms(s string, axes []batch.Axis) ([]string, error) {
-	if s == "" {
-		return nil, nil
-	}
-	for _, ax := range axes {
-		if ax.Param == batch.PlatformAxis {
-			return nil, fmt.Errorf("hccsweep: -platforms and -param %s both sweep the platform; use one", batch.PlatformAxis)
+// dedupe validates every job before any runs and drops each job whose key
+// an earlier job already has (the first one wins). Axes can repeat a job: a
+// repeated value, two spellings of one platform, or a cc.mode axis over the
+// -modes list. Without this pass whether a repeat reports cached would
+// depend on worker scheduling.
+func dedupe(jobs []batch.Job) ([]batch.Job, error) {
+	seen := make(map[string]bool, len(jobs))
+	out := jobs[:0]
+	for _, j := range jobs {
+		if err := j.Validate(); err != nil {
+			return nil, err
 		}
-	}
-	var names []string
-	for _, f := range strings.Split(s, ",") {
-		p, err := platform.ByName(strings.TrimSpace(f))
+		key, err := j.Key()
 		if err != nil {
-			return nil, fmt.Errorf("hccsweep: %v", err)
+			return nil, err
 		}
-		names = append(names, p.Name())
+		if !seen[key] {
+			seen[key] = true
+			out = append(out, j)
+		}
 	}
-	return names, nil
+	return out, nil
 }
 
-// buildJobs expands the app/mode/platform/parameter axes into the job grid.
-func buildJobs(apps, cnns, llms, serves string, uvm bool, modes string, platforms []string, axes []batch.Axis) ([]batch.Job, error) {
+// buildJobs expands the app/mode/parameter axes into the job grid.
+func buildJobs(apps, cnns, llms, serves string, uvm bool, modes string, axes []batch.Axis) ([]batch.Job, error) {
 	modeNames, err := parseModes(modes)
 	if err != nil {
 		return nil, err
@@ -221,7 +214,7 @@ func buildJobs(apps, cnns, llms, serves string, uvm bool, modes string, platform
 		}
 	}
 	for _, cell := range splitCells(cnns) {
-		model, b, prec, err := parseTriple(cell, "model:batch:precision")
+		model, b, prec, err := parseCNNCell(cell)
 		if err != nil {
 			return nil, err
 		}
@@ -248,9 +241,6 @@ func buildJobs(apps, cnns, llms, serves string, uvm bool, modes string, platform
 			j.Mode = m
 			jobs = append(jobs, j)
 		}
-	}
-	if len(platforms) > 0 {
-		jobs = batch.GridPlatforms(jobs, platforms)
 	}
 	for _, ax := range axes {
 		switch ax.Param {
@@ -289,11 +279,20 @@ func splitCells(s string) []string {
 	return strings.Split(s, ",")
 }
 
-// parseTriple parses model:batch:precision.
-func parseTriple(cell, form string) (string, int, string, error) {
+// splitCell splits an a:b:c cell of the given form into its three parts.
+func splitCell(cell, form string) ([]string, error) {
 	parts := strings.Split(strings.TrimSpace(cell), ":")
 	if len(parts) != 3 {
-		return "", 0, "", fmt.Errorf("hccsweep: want %s, got %q", form, cell)
+		return nil, fmt.Errorf("hccsweep: want %s, got %q", form, cell)
+	}
+	return parts, nil
+}
+
+// parseCNNCell parses model:batch:precision.
+func parseCNNCell(cell string) (string, int, string, error) {
+	parts, err := splitCell(cell, "model:batch:precision")
+	if err != nil {
+		return "", 0, "", err
 	}
 	b, err := strconv.Atoi(parts[1])
 	if err != nil {
@@ -304,9 +303,9 @@ func parseTriple(cell, form string) (string, int, string, error) {
 
 // parseServeCell parses backend:quant:rateQPS.
 func parseServeCell(cell string) (string, string, float64, error) {
-	parts := strings.Split(strings.TrimSpace(cell), ":")
-	if len(parts) != 3 {
-		return "", "", 0, fmt.Errorf("hccsweep: want backend:quant:rateQPS, got %q", cell)
+	parts, err := splitCell(cell, "backend:quant:rateQPS")
+	if err != nil {
+		return "", "", 0, err
 	}
 	rate, err := strconv.ParseFloat(parts[2], 64)
 	if err != nil || rate <= 0 {
@@ -317,9 +316,9 @@ func parseServeCell(cell string) (string, string, float64, error) {
 
 // parseLLMCell parses backend:quant:batch.
 func parseLLMCell(cell string) (string, int, string, error) {
-	parts := strings.Split(strings.TrimSpace(cell), ":")
-	if len(parts) != 3 {
-		return "", 0, "", fmt.Errorf("hccsweep: want backend:quant:batch, got %q", cell)
+	parts, err := splitCell(cell, "backend:quant:batch")
+	if err != nil {
+		return "", 0, "", err
 	}
 	b, err := strconv.Atoi(parts[2])
 	if err != nil {

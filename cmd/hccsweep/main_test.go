@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -77,6 +78,7 @@ func TestExitCodes(t *testing.T) {
 		{"nothing to run", []string{"-modes", "off"}, 2, "nothing to run"},
 		{"unknown flag", []string{"-bogus"}, 2, "flag provided but not defined: -bogus"},
 		{"figures flag", []string{"-figures", "all"}, 2, "flag provided but not defined: -figures"},
+		{"platforms flag", []string{"-platforms", "h100-tdx"}, 2, "flag provided but not defined: -platforms"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -89,6 +91,39 @@ func TestExitCodes(t *testing.T) {
 			}
 			if stdout != "" {
 				t.Errorf("a failed run wrote to stdout: %q", stdout)
+			}
+		})
+	}
+}
+
+// TestDuplicateJobsRunOnce: axes that repeat a job (a repeated value, two
+// spellings of one platform, a cc.mode axis over the -modes list) run it
+// once, the first one listed, so stdout is the same at any -parallel level.
+func TestDuplicateJobsRunOnce(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+		rows int
+	}{
+		{"repeated value", []string{"-workloads", "gesummv", "-modes", "off", "-param", "PCIeGBps=16,16"}, 1},
+		{"platform alias", []string{"-workloads", "2mm,gesummv", "-modes", "off,tdx-h100", "-param", "hw.platform=h100-tdx,default"}, 4},
+		{"mode axis over modes", []string{"-workloads", "2mm,gesummv", "-modes", "off,tdx-h100", "-param", "cc.mode=off"}, 2},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var outs []string
+			for _, parallel := range []string{"1", "4"} {
+				code, stdout, stderr := runSweep(t, slices.Concat(c.args, []string{"-format", "csv", "-parallel", parallel})...)
+				if code != 0 {
+					t.Fatalf("-parallel %s: exit %d\nstderr: %s", parallel, code, stderr)
+				}
+				outs = append(outs, stdout)
+			}
+			if outs[0] != outs[1] {
+				t.Errorf("stdout differs between -parallel 1 and 4:\n%s\nvs\n%s", outs[0], outs[1])
+			}
+			if rows := strings.Count(outs[0], "\n") - 1; rows != c.rows {
+				t.Errorf("%d job rows, want %d:\n%s", rows, c.rows, outs[0])
 			}
 		})
 	}

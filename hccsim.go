@@ -208,8 +208,10 @@ func ServeMaxQPS(cfg ServeConfig) (ServeCapacity, error) { return serve.FindCapa
 
 // RunJobs executes a batch of sweep jobs on a bounded worker pool with
 // result caching: parallel <= 0 uses GOMAXPROCS, cacheDir "" keeps the
-// cache in memory only. Results keep submission order and are
-// byte-identical whether fresh, cached, or run at any parallelism.
+// cache in memory only. Results keep submission order, and each payload
+// is byte-identical whether fresh, cached, or run at any parallelism. When
+// two jobs in one call share a key, whether the later one reports Cached
+// depends on scheduling; hccsweep drops such duplicates before it runs.
 func RunJobs(jobs []Job, parallel int, cacheDir string) ([]JobResult, error) {
 	results, _, err := batch.Run(jobs, parallel, cacheDir)
 	return results, err

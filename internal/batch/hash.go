@@ -17,11 +17,21 @@ const cacheVersion = "hccsweep-v5"
 // thing — a default-config job and an override job that reproduces the
 // defaults hash identically, and any calibration change to the defaults
 // invalidates every cached result built on them.
+//
+// Key builds the configuration but looks up no names; Validate checks those.
 func (j Job) Key() (string, error) {
 	cfg, err := j.EffectiveConfig()
 	if err != nil {
 		return "", err
 	}
+	r := resolved{job: j, cfg: cfg}
+	return r.Key()
+}
+
+// Key hashes the resolved job: the spec fields of the job and the
+// configuration it runs under.
+func (r *resolved) Key() (string, error) {
+	j := r.job
 	// Hash the spec fields only (not Overrides/Config — those are already
 	// folded into the resolved config).
 	spec := struct {
@@ -43,7 +53,7 @@ func (j Job) Key() (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("batch: hashing job spec: %w", err)
 	}
-	cfgJSON, err := json.Marshal(cfg)
+	cfgJSON, err := json.Marshal(r.cfg)
 	if err != nil {
 		return "", fmt.Errorf("batch: hashing job config: %w", err)
 	}

@@ -162,52 +162,84 @@ func (j Job) label(withMode bool) string {
 // platform) must resolve and every override must apply, so a bad name
 // fails before any job runs rather than mid-sweep.
 func (j Job) Validate() error {
+	_, err := j.resolve()
+	return err
+}
+
+// resolved is a job with its names looked up and its configuration built:
+// what Pool.runOne hashes and runs.
+type resolved struct {
+	job Job
+	cfg cuda.Config
+	// The values resolve looked up, one set per kind.
+	spec  workloads.Spec
+	train nn.TrainConfig
+	llm   nn.LLMConfig
+	// run is the runner of the job's kind.
+	run func(resolved) (Payload, error)
+}
+
+// resolve is the one place a job's names are looked up and its effective
+// configuration is built. Validate and Pool.runOne both call it once, so a
+// bad job fails both with the same error.
+func (j Job) resolve() (resolved, error) {
+	r := resolved{job: j}
 	switch j.Kind {
 	case KindWorkload:
-		if _, err := workloads.ByName(j.Workload); err != nil {
-			return err
+		spec, err := workloads.ByName(j.Workload)
+		if err != nil {
+			return r, err
 		}
+		r.spec, r.run = spec, runWorkload
 	case KindCNN:
 		if j.Model == "" || j.Batch <= 0 || j.Precision == "" {
-			return fmt.Errorf("batch: cnn job needs model, batch and precision: %+v", j)
+			return r, fmt.Errorf("batch: cnn job needs model, batch and precision: %+v", j)
 		}
-		if _, err := nn.ModelByName(j.Model); err != nil {
-			return err
+		m, err := nn.ModelByName(j.Model)
+		if err != nil {
+			return r, err
 		}
-		if _, err := nn.PrecisionByName(j.Precision); err != nil {
-			return err
+		prec, err := nn.PrecisionByName(j.Precision)
+		if err != nil {
+			return r, err
 		}
-	case KindLLM:
-		if j.Backend == "" || j.Quant == "" || j.Batch <= 0 {
-			return fmt.Errorf("batch: llm job needs backend, quant and batch: %+v", j)
+		r.train, r.run = nn.TrainConfig{Model: m, Batch: j.Batch, Precision: prec}, runCNN
+	case KindLLM, KindServe:
+		// LLM and serving-traffic jobs name the same backend and quantization.
+		switch {
+		case j.Kind == KindLLM && (j.Backend == "" || j.Quant == "" || j.Batch <= 0):
+			return r, fmt.Errorf("batch: llm job needs backend, quant and batch: %+v", j)
+		case j.Kind == KindServe && (j.Backend == "" || j.Quant == "" || j.RateQPS <= 0):
+			return r, fmt.Errorf("batch: serve job needs backend, quant and a positive rate: %+v", j)
 		}
-		if _, err := nn.BackendByName(j.Backend); err != nil {
-			return err
+		backend, err := nn.BackendByName(j.Backend)
+		if err != nil {
+			return r, err
 		}
-		if _, err := nn.QuantByName(j.Quant); err != nil {
-			return err
+		quant, err := nn.QuantByName(j.Quant)
+		if err != nil {
+			return r, err
 		}
-	case KindServe:
-		if j.Backend == "" || j.Quant == "" || j.RateQPS <= 0 {
-			return fmt.Errorf("batch: serve job needs backend, quant and a positive rate: %+v", j)
+		if j.Kind == KindServe {
+			if j.Requests < 0 {
+				return r, fmt.Errorf("batch: serve job with negative request count: %+v", j)
+			}
+			r.run = runServe
+			break
 		}
-		if _, err := nn.BackendByName(j.Backend); err != nil {
-			return err
-		}
-		if _, err := nn.QuantByName(j.Quant); err != nil {
-			return err
-		}
-		if j.Requests < 0 {
-			return fmt.Errorf("batch: serve job with negative request count: %+v", j)
-		}
+		r.llm, r.run = nn.LLMConfig{Backend: backend, Quant: quant, Batch: j.Batch}, runLLM
 	default:
-		return fmt.Errorf("batch: unknown job kind %q", j.Kind)
+		return r, fmt.Errorf("batch: unknown job kind %q", j.Kind)
 	}
 	if j.Platform != "" && j.Config != nil {
-		return fmt.Errorf("batch: job sets both Platform %q and an explicit Config; the config already carries its platform", j.Platform)
+		return r, fmt.Errorf("batch: job sets both Platform %q and an explicit Config; the config already carries its platform", j.Platform)
 	}
-	_, err := j.EffectiveConfig()
-	return err
+	cfg, err := j.EffectiveConfig()
+	if err != nil {
+		return r, err
+	}
+	r.cfg = cfg
+	return r, nil
 }
 
 // EffectiveConfig resolves the full system configuration the job runs under:
@@ -241,25 +273,15 @@ func (j Job) EffectiveConfig() (cuda.Config, error) {
 
 // GridModes expands every job once per protection-mode name — the cc.mode
 // sweep axis of cmd/hccsweep. Setting Mode replaces the job's own mode, so
-// jobs that differed only in mode (the -modes list) collapse to the same
-// cache key; GridModes drops those duplicates (first occurrence wins) —
-// otherwise whether a duplicate reports Cached depends on worker
-// scheduling and sweep output stops being byte-identical across -parallel
-// levels. Jobs whose key cannot be computed are kept for Validate to
-// report.
+// jobs that differed only in mode (the -modes list) become duplicates; like
+// every Grid function it keeps them, and cmd/hccsweep drops duplicate keys
+// before it runs the sweep.
 func GridModes(jobs []Job, modes []string) []Job {
 	out := make([]Job, 0, len(jobs)*len(modes))
-	seen := make(map[string]bool, len(jobs)*len(modes))
 	for _, j := range jobs {
 		for _, m := range modes {
 			nj := j
 			nj.Mode = m
-			if key, err := nj.Key(); err == nil {
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-			}
 			out = append(out, nj)
 		}
 	}
@@ -268,23 +290,14 @@ func GridModes(jobs []Job, modes []string) []Job {
 
 // GridPlatforms expands every job once per hardware platform — the
 // hw.platform sweep axis of cmd/hccsweep. Jobs keep their Mode, so an
-// illegal mode×platform pair fails Validate before any job runs. Like
-// GridModes, jobs collapsing to the same cache key are dropped (first
-// occurrence wins) so sweep output stays byte-identical across -parallel
-// levels; unknown platform names are kept for Validate to report.
+// illegal mode×platform pair fails Validate before any job runs. Aliases of
+// one platform expand to duplicate jobs, which cmd/hccsweep drops by key.
 func GridPlatforms(jobs []Job, platforms []string) []Job {
 	out := make([]Job, 0, len(jobs)*len(platforms))
-	seen := make(map[string]bool, len(jobs)*len(platforms))
 	for _, j := range jobs {
 		for _, name := range platforms {
 			nj := j
 			nj.Platform = name
-			if key, err := nj.Key(); err == nil {
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-			}
 			out = append(out, nj)
 		}
 	}

@@ -73,17 +73,6 @@ func TestGridPlatformsKeepsExplicitMode(t *testing.T) {
 	}
 }
 
-// TestGridPlatformsDedup: aliased and canonical spellings of one platform
-// collapse to one job (first occurrence wins), keeping sweep output
-// byte-identical at any parallelism.
-func TestGridPlatformsDedup(t *testing.T) {
-	jobs := []Job{WorkloadJob("gemm", false, false)}
-	out := GridPlatforms(jobs, []string{"h100-tdx", "default", "table1"})
-	if len(out) != 1 {
-		t.Fatalf("got %d jobs, want 1 after dedup", len(out))
-	}
-}
-
 func TestLabelWithPlatform(t *testing.T) {
 	j := WorkloadJob("gemm", false, false)
 	j.Mode = "tee-io-bridge"

@@ -37,6 +37,9 @@ type Pool struct {
 }
 
 // Run executes all jobs and returns their results in submission order.
+// Each payload is the same at any Workers count, but when two jobs share a
+// key, whether the later one reports Cached depends on which worker gets
+// there first; cmd/hccsweep drops such duplicates before it calls Run.
 func (p *Pool) Run(jobs []Job) []Result {
 	results := make([]Result, len(jobs))
 	workers := p.Workers
@@ -74,11 +77,12 @@ func (p *Pool) Run(jobs []Job) []Result {
 // runOne executes a single job through the cache.
 func (p *Pool) runOne(j Job) Result {
 	res := Result{Job: j}
-	if err := j.Validate(); err != nil {
+	r, err := j.resolve()
+	if err != nil {
 		res.Err = err
 		return res
 	}
-	key, err := j.Key()
+	key, err := r.Key()
 	if err != nil {
 		res.Err = err
 		return res
@@ -87,11 +91,9 @@ func (p *Pool) runOne(j Job) Result {
 	if p.Cache != nil {
 		if b, ok := p.Cache.Get(key); ok {
 			var pl Payload
-			if err := json.Unmarshal(b, &pl); err != nil {
-				// A corrupt entry falls through to a fresh run (and is
-				// overwritten below) rather than failing the job.
-				res.Err = nil
-			} else {
+			// A corrupt entry falls through to a fresh run (and is
+			// overwritten below) rather than failing the job.
+			if json.Unmarshal(b, &pl) == nil {
 				res.Cached = true
 				res.Bytes = b
 				res.Payload = pl
@@ -99,19 +101,7 @@ func (p *Pool) runOne(j Job) Result {
 			}
 		}
 	}
-	var pl Payload
-	switch j.Kind {
-	case KindWorkload:
-		pl, err = runWorkload(j)
-	case KindCNN:
-		pl, err = runCNN(j)
-	case KindLLM:
-		pl, err = runLLM(j)
-	case KindServe:
-		pl, err = runServe(j)
-	default:
-		err = fmt.Errorf("unknown job kind %q", j.Kind)
-	}
+	pl, err := r.run(r)
 	if err != nil {
 		res.Err = fmt.Errorf("batch: %s: %w", j.Label(), err)
 		return res

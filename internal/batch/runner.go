@@ -26,68 +26,36 @@ type Payload struct {
 	Serve *serve.Report `json:",omitempty"`
 }
 
-func runWorkload(j Job) (Payload, error) {
-	spec, err := workloads.ByName(j.Workload)
-	if err != nil {
-		return Payload{}, err
-	}
-	cfg, err := j.EffectiveConfig()
-	if err != nil {
-		return Payload{}, err
-	}
+// The runners simulate one resolved job: Job.resolve looked up its names
+// and built its configuration, so none of them resolves anything.
+
+func runWorkload(r resolved) (Payload, error) {
 	mode := workloads.CopyExecute
-	if j.UVM {
+	if r.job.UVM {
 		mode = workloads.UVM
 	}
-	res := workloads.Execute(spec, mode, cfg)
+	res := workloads.Execute(r.spec, mode, r.cfg)
 	model := core.Decompose(res.Runtime.Tracer())
 	met := res.Runtime.Metrics()
 	return Payload{Elapsed: time.Duration(res.End), Model: &model, Metrics: &met}, nil
 }
 
-func runCNN(j Job) (Payload, error) {
-	m, err := nn.ModelByName(j.Model)
-	if err != nil {
-		return Payload{}, err
-	}
-	prec, err := nn.PrecisionByName(j.Precision)
-	if err != nil {
-		return Payload{}, err
-	}
-	cfg, err := j.EffectiveConfig()
-	if err != nil {
-		return Payload{}, err
-	}
-	r := nn.TrainSimulateWith(nn.TrainConfig{Model: m, Batch: j.Batch, Precision: prec}, cfg)
-	return Payload{Elapsed: r.IterTime, CNN: &r}, nil
+func runCNN(r resolved) (Payload, error) {
+	res := nn.TrainSimulateWith(r.train, r.cfg)
+	return Payload{Elapsed: res.IterTime, CNN: &res}, nil
 }
 
-func runLLM(j Job) (Payload, error) {
-	backend, err := nn.BackendByName(j.Backend)
-	if err != nil {
-		return Payload{}, err
-	}
-	quant, err := nn.QuantByName(j.Quant)
-	if err != nil {
-		return Payload{}, err
-	}
-	cfg, err := j.EffectiveConfig()
-	if err != nil {
-		return Payload{}, err
-	}
-	r := nn.LLMSimulateWith(nn.LLMConfig{Backend: backend, Quant: quant, Batch: j.Batch}, cfg)
-	return Payload{Elapsed: r.StepTime, LLM: &r}, nil
+func runLLM(r resolved) (Payload, error) {
+	res := nn.LLMSimulateWith(r.llm, r.cfg)
+	return Payload{Elapsed: res.StepTime, LLM: &res}, nil
 }
 
-func runServe(j Job) (Payload, error) {
-	cfg, err := j.EffectiveConfig()
-	if err != nil {
-		return Payload{}, err
-	}
-	r, err := serve.Run(serve.Config{
+func runServe(r resolved) (Payload, error) {
+	j := r.job
+	res, err := serve.Run(serve.Config{
 		Backend:  j.Backend,
 		Quant:    j.Quant,
-		System:   &cfg,
+		System:   &r.cfg,
 		RateQPS:  j.RateQPS,
 		Requests: j.Requests,
 		Seed:     j.Seed,
@@ -95,5 +63,5 @@ func runServe(j Job) (Payload, error) {
 	if err != nil {
 		return Payload{}, err
 	}
-	return Payload{Elapsed: r.MakespanSim, Serve: &r}, nil
+	return Payload{Elapsed: res.MakespanSim, Serve: &res}, nil
 }
