@@ -61,6 +61,7 @@ FUZZ_TARGETS = \
 	./internal/serve:FuzzServeTrace \
 	./internal/sim/eventq:FuzzQueue \
 	./internal/trace:FuzzTraceLog \
+	./internal/core:FuzzDecompose \
 	./internal/ccmode:FuzzByName \
 	./internal/batch:FuzzParseAxis \
 	./internal/cuda:FuzzPlatformByName \

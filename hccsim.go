@@ -183,7 +183,8 @@ func CompareModes(cfg Config, app func(c *Context)) (base, cc Model, ratio core.
 // GraphBIG/Tigr analogues).
 func Workloads() []Workload { return workloads.All() }
 
-// WorkloadByName looks up one application.
+// WorkloadByName looks up one application. The spec is the caller's own
+// copy: changing it changes no later lookup.
 func WorkloadByName(name string) (Workload, error) { return workloads.ByName(name) }
 
 // FigureIDs lists every reproducible figure.

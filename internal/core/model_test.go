@@ -274,6 +274,26 @@ func TestDifferentialDecomposeSuite(t *testing.T) {
 	}
 }
 
+// BenchmarkDecomposeSuite decomposes every suite application's copy-form
+// trace with CC off and on. The traces are recorded and analyzed once, so
+// each op reads cached analyses and times the edge sweep.
+func BenchmarkDecomposeSuite(b *testing.B) {
+	var traces []*trace.Tracer
+	for _, spec := range workloads.All() {
+		for _, cc := range []bool{false, true} {
+			tr := workloads.Execute(spec, workloads.CopyExecute, cuda.DefaultConfig(cc)).Runtime.Tracer()
+			tr.Analyze()
+			traces = append(traces, tr)
+		}
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, tr := range traces {
+			Decompose(tr)
+		}
+	}
+}
+
 func TestDecomposeSequentialNoOverlap(t *testing.T) {
 	tr := trace.New()
 	// alloc [0,10], copy [10,30], launch [30,35], kernel [40,100], free [100,110]

@@ -181,6 +181,27 @@ func TestFirstLaunchSpike(t *testing.T) {
 	}
 }
 
+// Each kernel name uploads its module on its first launch only, whether
+// the launch before it had the same name or not, and the empty name too.
+func TestEveryNameUploadsOnce(t *testing.T) {
+	names := []string{"", "", "a", "", "a", "b", "b", "a", "c"}
+	rt := run(t, false, func(c *Context) {
+		for _, name := range names {
+			c.Launch(gpu.KernelSpec{Name: name, Fixed: 10 * time.Microsecond}, nil)
+		}
+		c.Sync()
+	})
+	ls := rt.Tracer().OfKind(trace.KindLaunch)
+	steady := ls[1].Duration()
+	seen := map[string]bool{}
+	for i, l := range ls {
+		if upload := l.Duration() >= 3*steady; upload != !seen[names[i]] {
+			t.Errorf("launch %d (%q) took %v against a steady %v; want an upload: %v", i, names[i], l.Duration(), steady, !seen[names[i]])
+		}
+		seen[names[i]] = true
+	}
+}
+
 func TestSteadyStateKLORatioMatchesPaper(t *testing.T) {
 	steadyKLO := func(cc bool) time.Duration {
 		rt := run(t, cc, func(c *Context) {

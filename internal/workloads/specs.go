@@ -20,6 +20,7 @@ const (
 )
 
 // All returns every application spec, in the display order of Figs. 5-9.
+// Each call builds the specs afresh, so the caller owns them.
 func All() []Spec {
 	return []Spec{
 		// --- Polybench ---

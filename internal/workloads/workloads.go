@@ -12,7 +12,9 @@ package workloads
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"hccsim/internal/cuda"
 	"hccsim/internal/gpu"
@@ -204,11 +206,24 @@ func (s Spec) runUVM(c *cuda.Context) {
 	}
 }
 
-// ByName returns the named spec.
+// table is the spec table ByName, Names and UVMSuite read, built on first
+// use. Nothing outside this file reaches it: the lookups hand out clones.
+var table = sync.OnceValue(All)
+
+// clone returns s with its own Buffers and Phases; a phase holds only
+// scalars, so the two slices are all a spec shares.
+func (s Spec) clone() Spec {
+	s.Buffers = slices.Clone(s.Buffers)
+	s.Phases = slices.Clone(s.Phases)
+	return s
+}
+
+// ByName returns the named spec. The spec is the caller's own copy:
+// changing it changes no later lookup.
 func ByName(name string) (Spec, error) {
-	for _, s := range All() {
+	for _, s := range table() {
 		if s.Name == name {
-			return s, nil
+			return s.clone(), nil
 		}
 	}
 	return Spec{}, fmt.Errorf("workloads: unknown application %q", name)
@@ -217,19 +232,20 @@ func ByName(name string) (Spec, error) {
 // Names returns all application names, sorted.
 func Names() []string {
 	var out []string
-	for _, s := range All() {
+	for _, s := range table() {
 		out = append(out, s.Name)
 	}
 	sort.Strings(out)
 	return out
 }
 
-// UVMSuite returns the specs the paper evaluates in UVM form.
+// UVMSuite returns the specs the paper evaluates in UVM form, each the
+// caller's own copy.
 func UVMSuite() []Spec {
 	var out []Spec
-	for _, s := range All() {
+	for _, s := range table() {
 		if s.UVMCapable {
-			out = append(out, s)
+			out = append(out, s.clone())
 		}
 	}
 	return out

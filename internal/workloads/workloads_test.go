@@ -244,3 +244,33 @@ func TestEventCountsStable(t *testing.T) {
 		})
 	}
 }
+
+// A looked-up spec is the caller's own: changing its buffers or phases
+// changes neither a later lookup nor All.
+func TestByNameReturnsACopy(t *testing.T) {
+	want, err := ByName("gemm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := ByName("gemm")
+	got.Buffers[0]++
+	got.Phases[0].count++
+	again, _ := ByName("gemm")
+	if again.Buffers[0] != want.Buffers[0] || again.Phases[0] != want.Phases[0] {
+		t.Fatalf("ByName after a change: buffer %d phase %+v, want %d %+v",
+			again.Buffers[0], again.Phases[0], want.Buffers[0], want.Phases[0])
+	}
+	for _, s := range All() {
+		if s.Name == "gemm" && (s.Buffers[0] != want.Buffers[0] || s.Phases[0] != want.Phases[0]) {
+			t.Fatalf("All after a change: buffer %d phase %+v", s.Buffers[0], s.Phases[0])
+		}
+	}
+}
+
+// ByName reads the table built once: it allocates only the copy's two
+// slices.
+func TestByNameAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { _, _ = ByName("gemm") }); n > 2 {
+		t.Fatalf("ByName allocates %v times, want at most 2", n)
+	}
+}
