@@ -23,7 +23,7 @@ func (t *Tracer) Gantt(w io.Writer, width int) error {
 		_, err := fmt.Fprintln(w, "(empty trace)")
 		return err
 	}
-	origin, end := t.bounds()
+	origin, end := t.Bounds()
 	span := end.Sub(origin)
 	if span <= 0 {
 		span = time.Nanosecond

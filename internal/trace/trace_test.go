@@ -164,13 +164,16 @@ func TestMean(t *testing.T) {
 
 func TestSpan(t *testing.T) {
 	tr := New()
-	if tr.Span() != 0 {
-		t.Fatal("empty span != 0")
+	if lo, hi := tr.Bounds(); tr.Span() != 0 || lo != 0 || hi != 0 {
+		t.Fatalf("empty: span %v, bounds [%v, %v]; want zeros", tr.Span(), lo, hi)
 	}
 	tr.Record(ev(KindKernel, 10, 20, 1))
 	tr.Record(ev(KindKernel, 5, 12, 2))
 	if tr.Span() != 15 {
 		t.Fatalf("span = %v, want 15ns", tr.Span())
+	}
+	if lo, hi := tr.Bounds(); lo != 5 || hi != 20 {
+		t.Fatalf("bounds = [%v, %v], want [5, 20]", lo, hi)
 	}
 }
 
@@ -802,6 +805,9 @@ func TestNilTracerReadsEmpty(t *testing.T) {
 	}
 	if tr.Span() != 0 {
 		t.Fatalf("nil Span = %v", tr.Span())
+	}
+	if lo, hi := tr.Bounds(); lo != 0 || hi != 0 {
+		t.Fatalf("nil Bounds = [%v, %v]", lo, hi)
 	}
 }
 
