@@ -40,7 +40,7 @@ lint-fix:
 	$(GO) run ./cmd/hcclint -baseline lint.baseline -fix ./...
 
 # Byte-identity gate: every committed golden (figures, the Chrome traces of
-# the root package, the sim engine's interleaving, the cuda stream window's
+# the root package, the sim engine's interleaving, the cuda completion count's
 # two-stream trace, and each command's stdout), the spelling-equivalence tests (every mode alias, and the empty
 # mode for off, must simulate identically to the canonical name), and the
 # differential tests that hold replayed copies to their step chains and the

@@ -245,10 +245,10 @@ func TestRingThrottleCreatesLQT(t *testing.T) {
 
 // TestLaunchSteadyStateAllocs launches past the ring window, so every
 // launch waits for the oldest in-flight kernel, and counts allocations per
-// launch once the window, the channel FIFO, the command pools and the
-// signal wait lists are warm. What remains is the kernel's completion
-// signal. A traced runtime keeps the same bound: recording the launch and
-// the kernel into the trace log allocates nothing within a block.
+// launch once the channel FIFO, the command pools and the completion
+// counter's wait list are warm: none remain. A traced runtime keeps the
+// same bound: recording the launch and the kernel into the trace log
+// allocates nothing within a block.
 func TestLaunchSteadyStateAllocs(t *testing.T) {
 	for _, traced := range []bool{false, true} {
 		for _, cc := range []bool{false, true} {
@@ -266,14 +266,14 @@ func TestLaunchSteadyStateAllocs(t *testing.T) {
 					c.Launch(spec, s)
 				}
 				allocs = testing.AllocsPerRun(1000, func() { c.Launch(spec, s) })
-				if n := len(s.window()); n != rt.params.RingSlots {
-					t.Errorf("traced=%v cc=%v: window holds %d signals, want a full ring of %d", traced, cc, n, rt.params.RingSlots)
+				if n := s.ch.InFlight(); n != rt.params.RingSlots {
+					t.Errorf("traced=%v cc=%v: %d commands in flight, want a full ring of %d", traced, cc, n, rt.params.RingSlots)
 				}
 				c.Sync()
 			})
 			eng.Run()
-			if allocs > 1 {
-				t.Errorf("traced=%v cc=%v: %.0f allocations per steady-state launch, want at most 1", traced, cc, allocs)
+			if allocs != 0 {
+				t.Errorf("traced=%v cc=%v: %.0f allocations per steady-state launch, want 0", traced, cc, allocs)
 			}
 		}
 	}

@@ -35,7 +35,6 @@ func (e *Event) Record(s *Stream) {
 	}
 	c.p.Sleep(400 * time.Nanosecond)
 	e.sig = s.ch.SubmitMarker()
-	s.track(e.sig)
 	e.recorded = true
 }
 
@@ -96,6 +95,5 @@ func (s *Stream) WaitEvent(e *Event) {
 	}
 	c := s.ctx
 	c.p.Sleep(300 * time.Nanosecond)
-	done := s.ch.SubmitWait(e.sig)
-	s.track(done)
+	s.ch.SubmitWait(e.sig)
 }

@@ -297,14 +297,12 @@ func (c *Context) MemcpyAsync(dst, src *Buffer, bytes int64, s *Stream) {
 		// Async D2D still goes through the channel; model as an H2D-free
 		// command with blit timing folded into dispatch; rare in the suite.
 		c.p.Sleep(c.rt.params.AsyncCopySW)
-		done := s.ch.SubmitCopy(trace.KindMemcpyD2D, pcie.H2D, 0, false)
-		s.track(done)
+		s.ch.Copy(trace.KindMemcpyD2D, pcie.H2D, 0, false)
 		return
 	}
 	c.p.Sleep(c.rt.params.AsyncCopySW)
 	if c.rt.mode.SoftwareCryptoPath() {
 		c.rt.pl.Encrypt(c.p, c.rt.params.CmdPacketBytes) // command packet
 	}
-	done := s.ch.SubmitCopy(cl.kind, cl.dir, bytes, cl.pinned)
-	s.track(done)
+	s.ch.Copy(cl.kind, cl.dir, bytes, cl.pinned)
 }

@@ -11,130 +11,88 @@ import (
 
 	"hccsim/internal/gpu"
 	"hccsim/internal/sim"
+	"hccsim/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// prunedByFilter is the window pruning prune replaced: keep every signal
-// that has not fired, wherever it sits in the window.
-func prunedByFilter(pending []*sim.Signal) []*sim.Signal {
-	var keep []*sim.Signal
-	for _, sig := range pending {
-		if !sig.Fired() {
-			keep = append(keep, sig)
-		}
-	}
-	return keep
+// streamLog is what the test sees of one stream's commands from outside
+// its channel: every command submitted, in order, and for each whether its
+// completion is visible. A kernel or copy is complete once the trace holds
+// its event, a marker once its signal has fired; a wait leaves no trace.
+// A launch is logged before the call, since the call goes on after it
+// submits the kernel; the trace's launch event tells whether it has.
+// Every other call submits its command last, so it is logged after.
+type streamLog struct {
+	s        *Stream
+	cmds     []loggedCmd
+	launches int
 }
 
-// windowError reports how s's window breaks the prefix rule — a fired
-// signal behind one that has not fired, a slot outside the window that
-// still pins a signal, or prune keeping something other than what the
-// filter keeps — or "" when it holds.
-func windowError(s *Stream) string {
-	win := s.window()
-	for i := 1; i < len(win); i++ {
-		if win[i].Fired() && !win[i-1].Fired() {
-			return fmt.Sprintf("stream %d at %v: signal %d fired before signal %d", s.ID(), s.ctx.p.Now(), i, i-1)
-		}
+type loggedCmd struct {
+	traced bool        // a kernel or copy, recorded on the stream when it completes
+	marker *sim.Signal // an event marker's signal; nil for other commands
+}
+
+// completedError reports how the channel's count of in-flight commands
+// disagrees with the commands seen complete, or "" when it agrees: the
+// channel completes in FIFO order, so with k = submitted - InFlight() the
+// first k commands must all be complete and none after them. launched and
+// traced count the stream's launch events and its kernel and copy events
+// in the trace.
+func (l *streamLog) completedError(launched, traced int) string {
+	s := l.s
+	cmds := l.cmds
+	if launched < l.launches {
+		cmds = cmds[:len(cmds)-1] // the launch in progress has not submitted yet
 	}
-	for i, sig := range s.pending[:s.head] {
-		if sig != nil {
-			return fmt.Sprintf("stream %d at %v: slot %d behind the head still pins a signal", s.ID(), s.ctx.p.Now(), i)
-		}
+	k := len(cmds) - s.ch.InFlight()
+	if k < 0 {
+		return fmt.Sprintf("stream %d at %v: %d in flight of %d submitted", s.ID(), s.ctx.p.Now(), s.ch.InFlight(), len(cmds))
 	}
-	for i, sig := range s.pending[len(s.pending):cap(s.pending)] {
-		if sig != nil {
-			return fmt.Sprintf("stream %d at %v: slot %d past the window still pins a signal", s.ID(), s.ctx.p.Now(), len(s.pending)+i)
+	seen := 0
+	for i, c := range cmds {
+		var done, known bool
+		switch {
+		case c.traced:
+			seen++
+			done, known = seen <= traced, true
+		case c.marker != nil:
+			done, known = c.marker.Fired(), true
 		}
-	}
-	shadow := &Stream{pending: append([]*sim.Signal(nil), win...)}
-	shadow.prune()
-	if want := prunedByFilter(win); fmt.Sprint(shadow.window()) != fmt.Sprint(want) {
-		return fmt.Sprintf("stream %d at %v: prune keeps %d signals, the filter %d", s.ID(), s.ctx.p.Now(), len(shadow.window()), len(want))
+		if known && done != (i < k) {
+			return fmt.Sprintf("stream %d at %v: command %d complete=%v, but the channel counts %d of %d complete", s.ID(), s.ctx.p.Now(), i, done, k, len(cmds))
+		}
 	}
 	return ""
 }
 
 // TestGoldenPruneMix drives two streams with a mix of kernels, async
 // copies, event markers and cross-stream waits, past the ring window on
-// both, and checks every window after each API call and at every
-// microsecond of simulated time. The recorded trace is compared with
-// testdata/prune-mix.golden, which the filtering prune produced, so the
-// prefix rule changes no timing.
+// both, and checks each stream's completion count after every API call
+// and at every microsecond of simulated time (see runMix). The recorded
+// trace is compared with testdata/prune-mix.golden, which the
+// per-command completion signals of an earlier window produced, so the
+// count changes no timing. The mix itself never fills a ring: its kernels
+// keep pace with the host. The same mix with 150µs kernels fills one in
+// both modes, and the throttle must block there.
 func TestGoldenPruneMix(t *testing.T) {
 	var out strings.Builder
 	for _, cc := range []bool{false, true} {
-		eng := sim.NewEngine()
-		rt := New(eng, DefaultConfig(cc))
-		// Checks run inside simulated processes, where t.Fatal would stop
-		// the engine mid-step, so the first broken window is kept instead.
-		var streams []*Stream
-		var broken string
-		check := func() {
-			for _, s := range streams {
-				if msg := windowError(s); msg != "" && broken == "" {
-					broken = msg
-				}
-			}
-		}
-		full, done := 0, false
-		eng.Spawn("host", func(p *sim.Proc) {
-			c := rt.Bind(p)
-			h := c.MallocHost("h", 1<<20)
-			d := c.Malloc("d", 1<<20)
-			a, b := c.StreamCreate(), c.StreamCreate()
-			streams = []*Stream{a, b}
-			ev := c.EventCreate()
-			ring := rt.params.RingSlots
-			for i := 0; i < 3*ring; i++ {
-				s := a
-				if i%3 == 2 {
-					s = b
-				}
-				switch i % 11 {
-				case 0:
-					c.MemcpyAsync(d, h, 64<<10, s)
-				case 4:
-					ev.Record(a)
-					b.WaitEvent(ev)
-				case 7:
-					ev.Record(b)
-				default:
-					spec := gpu.KernelSpec{Name: fmt.Sprintf("k%d", i%4), Fixed: time.Duration(15+i%7) * time.Microsecond}
-					c.Launch(spec, s)
-				}
-				check()
-				for _, s := range streams {
-					if len(s.window()) == ring {
-						full++
-					}
-				}
-				if i == 2*ring {
-					a.Synchronize()
-					check()
-				}
-			}
-			c.Sync()
-			check()
-			done = true
-		})
-		eng.Spawn("monitor", func(p *sim.Proc) {
-			for !done {
-				check()
-				p.Sleep(time.Microsecond)
-			}
-		})
-		eng.Run()
+		rt, _, broken := runMix(cc, 15*time.Microsecond)
 		if broken != "" {
 			t.Fatalf("cc=%v: %s", cc, broken)
 		}
-		if full == 0 {
-			t.Fatalf("cc=%v: no window ever filled; the throttle went untested", cc)
-		}
-		fmt.Fprintf(&out, "mode %s end %v\n", rt.Mode().Name(), eng.Now())
+		fmt.Fprintf(&out, "mode %s end %v\n", rt.Mode().Name(), rt.eng.Now())
 		for e := range rt.Tracer().All() {
 			fmt.Fprintf(&out, "%s %s %d %d %d\n", e.Kind, e.Name, e.Stream, int64(e.Start), int64(e.End))
+		}
+		_, blocked, broken := runMix(cc, 150*time.Microsecond)
+		if broken != "" {
+			t.Fatalf("cc=%v, long kernels: %s", cc, broken)
+		}
+		if blocked == 0 {
+			t.Fatalf("cc=%v: no launch found the ring full; the throttle went untested", cc)
 		}
 	}
 	path := filepath.Join("testdata", "prune-mix.golden")
@@ -154,6 +112,108 @@ func TestGoldenPruneMix(t *testing.T) {
 	if out.String() != string(want) {
 		t.Errorf("trace drifted from %s:\n%s", path, firstDiff(out.String(), string(want)))
 	}
+}
+
+// runMix runs the two-stream mix of TestGoldenPruneMix with kernels of
+// base to base+6µs. It checks after every API call, and at every
+// microsecond, that each channel's completion count agrees with the
+// commands seen complete, and after every launch that no more than a ring
+// of commands is in flight. It returns the drained runtime, the number of launches
+// that found their ring full, which the throttle blocks, and the first
+// broken check, or "".
+func runMix(cc bool, base time.Duration) (rt *Runtime, blocked int, broken string) {
+	eng := sim.NewEngine()
+	rt = New(eng, DefaultConfig(cc))
+	// Checks run inside simulated processes, where t.Fatal would stop
+	// the engine mid-step, so the first broken check is kept instead.
+	var logs []*streamLog
+	fail := func(msg string) {
+		if msg != "" && broken == "" {
+			broken = msg
+		}
+	}
+	check := func() {
+		launched, traced := map[int]int{}, map[int]int{}
+		for e := range rt.Tracer().All() {
+			switch {
+			case e.Kind == trace.KindLaunch:
+				launched[e.Stream]++
+			case e.Kind == trace.KindKernel || e.Name == "memcpyAsync":
+				traced[e.Stream]++
+			}
+		}
+		for _, l := range logs {
+			fail(l.completedError(launched[l.s.ID()], traced[l.s.ID()]))
+		}
+	}
+	done := false
+	eng.Spawn("host", func(p *sim.Proc) {
+		c := rt.Bind(p)
+		h := c.MallocHost("h", 1<<20)
+		d := c.Malloc("d", 1<<20)
+		a, b := &streamLog{s: c.StreamCreate()}, &streamLog{s: c.StreamCreate()}
+		logs = []*streamLog{a, b}
+		ev := c.EventCreate()
+		ring := rt.params.RingSlots
+		for i := 0; i < 3*ring; i++ {
+			l := a
+			if i%3 == 2 {
+				l = b
+			}
+			switch i % 11 {
+			case 0:
+				c.MemcpyAsync(d, h, 64<<10, l.s)
+				l.cmds = append(l.cmds, loggedCmd{traced: true})
+			case 4:
+				ev.Record(a.s)
+				a.cmds = append(a.cmds, loggedCmd{marker: ev.sig})
+				b.s.WaitEvent(ev)
+				b.cmds = append(b.cmds, loggedCmd{})
+			case 7:
+				ev.Record(b.s)
+				b.cmds = append(b.cmds, loggedCmd{marker: ev.sig})
+			default:
+				// The throttle blocks exactly when the ring is full on
+				// entry, and nothing runs between this check and it.
+				if l.s.ch.InFlight() >= ring {
+					blocked++
+				}
+				spec := gpu.KernelSpec{Name: fmt.Sprintf("k%d", i%4), Fixed: base + time.Duration(i%7)*time.Microsecond}
+				l.cmds = append(l.cmds, loggedCmd{traced: true})
+				l.launches++
+				c.Launch(spec, l.s)
+				if n := l.s.ch.InFlight(); n > ring {
+					fail(fmt.Sprintf("stream %d at %v: %d commands in flight after a launch, ring %d", l.s.ID(), p.Now(), n, ring))
+				}
+			}
+			check()
+			if i == 2*ring {
+				a.s.Synchronize()
+				check()
+				if n := a.s.ch.InFlight(); n != 0 {
+					fail(fmt.Sprintf("stream %d: %d commands in flight after Synchronize", a.s.ID(), n))
+				}
+			}
+		}
+		c.Sync()
+		check()
+		for _, l := range logs {
+			if n := l.s.ch.InFlight(); n != 0 {
+				fail(fmt.Sprintf("stream %d: %d commands in flight after Sync", l.s.ID(), n))
+			}
+		}
+		done = true
+	})
+	eng.Spawn("monitor", func(p *sim.Proc) {
+		// The run takes milliseconds; past a second the host is stuck, and
+		// the monitor stops so the engine reports the deadlock.
+		for !done && p.Now() < sim.Time(time.Second) {
+			check()
+			p.Sleep(time.Microsecond)
+		}
+	})
+	eng.Run()
+	return rt, blocked, broken
 }
 
 // firstDiff renders the first differing line of two texts.

@@ -187,14 +187,10 @@ func (c *Context) Proc() *sim.Proc { return c.p }
 func (c *Context) Runtime() *Runtime { return c.rt }
 
 // Stream is a CUDA stream: an ordered queue of device work backed by one
-// GPU channel, with an in-flight launch window that throttles the host.
+// GPU channel, whose in-flight command count throttles the host.
 type Stream struct {
 	ctx *Context
 	ch  *gpu.Channel
-	// pending[head:] is the in-flight window: the completion signals of
-	// submitted commands, in submission order, not yet seen fired.
-	pending []*sim.Signal
-	head    int
 }
 
 func (c *Context) newStream() *Stream {
@@ -216,46 +212,14 @@ func (c *Context) Default() *Stream { return c.def }
 // ID returns the stream's channel id, as shown in traces.
 func (s *Stream) ID() int { return s.ch.ID() }
 
-// throttle blocks while the stream's in-flight window is full. The wait
-// happens before the next launch API starts, so the analyzer sees it as
-// launch queuing time (LQT), matching the paper's decomposition.
+// throttle blocks while the stream's ring of in-flight commands is full,
+// one wait per completion it needs. The wait happens before the next
+// launch API starts, so the analyzer sees it as launch queuing time (LQT),
+// matching the paper's decomposition.
 func (s *Stream) throttle() {
-	limit := s.ctx.rt.params.RingSlots
-	for len(s.window()) >= limit {
-		s.window()[0].Wait(s.ctx.p)
-		s.prune()
+	for s.ch.InFlight() >= s.ctx.rt.params.RingSlots {
+		s.ch.WaitOldest(s.ctx.p)
 	}
-}
-
-// window returns the in-flight window.
-func (s *Stream) window() []*sim.Signal { return s.pending[s.head:] }
-
-// prune drops the completed commands from the in-flight window by
-// advancing its head. Every tracked signal belongs to a command on the
-// stream's own channel, which completes its commands strictly in
-// submission order, so the fired signals are always a prefix of the
-// window. A window that empties rewinds to the front of its backing array.
-func (s *Stream) prune() {
-	for s.head < len(s.pending) && s.pending[s.head].Fired() {
-		s.pending[s.head] = nil
-		s.head++
-	}
-	if s.head == len(s.pending) {
-		s.pending, s.head = s.pending[:0], 0
-	}
-}
-
-// track registers a submitted command for window accounting. When the
-// backing array is full and at least half of it lies behind the head, the
-// window slides back to the front instead of growing the array, so each
-// signal is moved at most once on average.
-func (s *Stream) track(sig *sim.Signal) {
-	if len(s.pending) == cap(s.pending) && 2*s.head >= len(s.pending) {
-		n := copy(s.pending, s.pending[s.head:])
-		clear(s.pending[n:])
-		s.pending, s.head = s.pending[:n], 0
-	}
-	s.pending = append(s.pending, sig)
 }
 
 // Synchronize blocks until all work submitted to the stream has completed.
@@ -263,27 +227,20 @@ func (s *Stream) Synchronize() {
 	c := s.ctx
 	start := c.p.Now()
 	c.p.Sleep(c.rt.params.SyncSW)
-	if last := s.ch.Last(); last != nil {
-		last.Wait(c.p)
-	}
-	s.prune()
+	s.ch.WaitIdle(c.p)
 	c.rt.Tracer().Record(trace.Event{
 		Kind: trace.KindSync, Name: "cudaStreamSynchronize", Stream: s.ID(),
 		Start: start, End: c.p.Now(),
 	})
 }
 
-// Sync is cudaDeviceSynchronize: waits for every stream this context
-// created (the runtime tracks them through contexts' streams lazily via
-// markers on each stream's channel).
+// Sync is cudaDeviceSynchronize: waits, stream by stream, until every
+// stream this context created has completed its work.
 func (c *Context) Sync() {
 	start := c.p.Now()
 	c.p.Sleep(c.rt.params.SyncSW)
 	for _, s := range c.allStreams() {
-		if last := s.ch.Last(); last != nil {
-			last.Wait(c.p)
-		}
-		s.prune()
+		s.ch.WaitIdle(c.p)
 	}
 	c.rt.Tracer().Record(trace.Event{
 		Kind: trace.KindSync, Name: "cudaDeviceSynchronize", Stream: -1,

@@ -183,15 +183,18 @@ func (d *Device) dispatchCost() time.Duration {
 // across channels. Kernel and copy commands are taken from per-channel
 // pools and queued as pointers, and the rest of the in-flight command state
 // lives directly on the Channel: exactly one command is ever being
-// processed per channel, so in steady state a submission allocates only
-// its completion signal and the loop allocates nothing.
+// processed per channel, so in steady state neither a submission nor the
+// loop allocates. Commands complete strictly in submission order, so the
+// channel counts its completions instead of signalling each one: waiting
+// for a command is waiting for the count to reach its position.
 type Channel struct {
-	dev   *Device
-	id    int
-	q     *sim.Queue[command]
-	last  *sim.Signal // completion of the most recent command
-	kpool sim.FramePool[kernelCmd]
-	cpool sim.FramePool[copyCmd]
+	dev       *Device
+	id        int
+	q         *sim.Queue[command]
+	submitted uint64       // commands ever queued
+	completed *sim.Counter // commands ever completed
+	kpool     sim.FramePool[kernelCmd]
+	cpool     sim.FramePool[copyCmd]
 
 	a       *sim.Actor
 	kc      *kernelCmd // kernel in flight
@@ -207,8 +210,9 @@ type Channel struct {
 func (d *Device) NewChannel() *Channel {
 	name := fmt.Sprintf("gpu-ch%d", len(d.channels))
 	ch := &Channel{dev: d, id: len(d.channels),
-		q:   sim.NewQueue[command](d.eng).SetLabel(name),
-		trk: d.obs.Track(name)}
+		q:         sim.NewQueue[command](d.eng).SetLabel(name),
+		completed: sim.NewCounter().SetLabel(name),
+		trk:       d.obs.Track(name)}
 	d.channels = append(d.channels, ch)
 	d.eng.SpawnActorDaemon(name, func(a *sim.Actor) {
 		ch.a = a
@@ -220,9 +224,21 @@ func (d *Device) NewChannel() *Channel {
 // ID returns the channel's index (stream id in traces).
 func (ch *Channel) ID() int { return ch.id }
 
-// Last returns the completion signal of the most recently submitted
-// command, or nil if nothing was submitted.
-func (ch *Channel) Last() *sim.Signal { return ch.last }
+// InFlight returns the number of submitted commands not yet completed.
+func (ch *Channel) InFlight() int { return int(ch.submitted - ch.completed.N()) }
+
+// WaitOldest blocks p until the oldest in-flight command completes. It
+// panics if nothing is in flight: that wait could never end, and a caller
+// looping on it (a launch ring of no slots) would spin forever instead.
+func (ch *Channel) WaitOldest(p *sim.Proc) {
+	if ch.InFlight() == 0 {
+		panic(fmt.Sprintf("gpu: WaitOldest on idle channel %d", ch.id))
+	}
+	ch.completed.WaitFor(p, ch.completed.N()+1)
+}
+
+// WaitIdle blocks p until every command submitted so far has completed.
+func (ch *Channel) WaitIdle(p *sim.Proc) { ch.completed.WaitFor(p, ch.submitted) }
 
 type command interface{ isCommand() }
 
@@ -230,7 +246,6 @@ type kernelCmd struct {
 	spec    KernelSpec
 	seq     int // correlation id shared with the launch event
 	graphed bool
-	done    *sim.Signal
 }
 
 type copyCmd struct {
@@ -238,7 +253,6 @@ type copyCmd struct {
 	dir    pcie.Direction
 	bytes  int64
 	pinned bool // host-side buffer was pinned (CC demotes to managed)
-	done   *sim.Signal
 }
 
 type markerCmd struct {
@@ -249,33 +263,48 @@ func (*kernelCmd) isCommand() {}
 func (*copyCmd) isCommand()   {}
 func (markerCmd) isCommand()  {}
 
-// SubmitKernel enqueues a kernel; graphed nodes skip per-command
-// authentication overhead after the first (the whole graph is one packet).
-func (ch *Channel) SubmitKernel(spec KernelSpec, seq int, graphed bool) *sim.Signal {
-	done := sim.NewSignal(ch.dev.eng)
-	k := ch.kpool.Get()
-	k.spec, k.seq, k.graphed, k.done = spec, seq, graphed, done
-	ch.q.Put(k)
-	ch.last = done
-	return done
+// put queues a command.
+func (ch *Channel) put(cmd command) {
+	ch.q.Put(cmd)
+	ch.submitted++
 }
 
-// SubmitCopy enqueues an async copy.
-func (ch *Channel) SubmitCopy(kind trace.Kind, dir pcie.Direction, bytes int64, pinned bool) *sim.Signal {
-	done := sim.NewSignal(ch.dev.eng)
+// Kernel enqueues a kernel; graphed nodes skip per-command authentication
+// overhead after the first (the whole graph is one packet).
+func (ch *Channel) Kernel(spec KernelSpec, seq int, graphed bool) {
+	k := ch.kpool.Get()
+	k.spec, k.seq, k.graphed = spec, seq, graphed
+	ch.put(k)
+}
+
+// Copy enqueues an async copy.
+func (ch *Channel) Copy(kind trace.Kind, dir pcie.Direction, bytes int64, pinned bool) {
 	c := ch.cpool.Get()
-	c.kind, c.dir, c.bytes, c.pinned, c.done = kind, dir, bytes, pinned, done
-	ch.q.Put(c)
-	ch.last = done
-	return done
+	c.kind, c.dir, c.bytes, c.pinned = kind, dir, bytes, pinned
+	ch.put(c)
+}
+
+// SubmitKernel enqueues a kernel and returns a signal that fires when it
+// completes: a marker queued right behind it, which fires at the kernel's
+// completion instant because the channel completes in FIFO order. It serves
+// callers that wait on a signal (the hccperf channel microbenchmarks); the
+// cuda runtime uses Kernel.
+func (ch *Channel) SubmitKernel(spec KernelSpec, seq int, graphed bool) *sim.Signal {
+	ch.Kernel(spec, seq, graphed)
+	return ch.SubmitMarker()
+}
+
+// SubmitCopy is the signal form of Copy, as SubmitKernel is of Kernel.
+func (ch *Channel) SubmitCopy(kind trace.Kind, dir pcie.Direction, bytes int64, pinned bool) *sim.Signal {
+	ch.Copy(kind, dir, bytes, pinned)
+	return ch.SubmitMarker()
 }
 
 // SubmitMarker enqueues a synchronization marker that fires when every
 // earlier command on the channel has completed.
 func (ch *Channel) SubmitMarker() *sim.Signal {
 	done := sim.NewSignal(ch.dev.eng)
-	ch.q.Put(markerCmd{done: done})
-	ch.last = done
+	ch.put(markerCmd{done: done})
 	return done
 }
 
@@ -304,6 +333,7 @@ func chanDispatch(x any, cmd command) {
 		d.cmdproc.UseA(ch.a, d.dispatchCost(), copyDispatched, ch)
 	case markerCmd:
 		c.done.Fire()
+		ch.completed.Add()
 		chanNext(ch)
 	case waitCmd:
 		ch.wc = c
@@ -313,9 +343,8 @@ func chanDispatch(x any, cmd command) {
 
 func chanWaited(x any) {
 	ch := x.(*Channel)
-	done := ch.wc.done
 	ch.wc = waitCmd{}
-	done.Fire()
+	ch.completed.Add()
 	chanNext(ch)
 }
 
@@ -354,9 +383,8 @@ func kernelDone(x any) {
 	d.compute.Release()
 	d.kernelsRun++
 	ch.sp.EndEvent(trace.Event{Kind: trace.KindKernel, Name: c.spec.Name, Stream: ch.id, Seq: c.seq})
-	done := c.done
 	ch.kpool.Put(c)
-	done.Fire()
+	ch.completed.Add()
 	chanNext(ch)
 }
 
@@ -382,9 +410,8 @@ func copyLanded(x any) {
 	ch.sp.EndEvent(trace.Event{
 		Kind: kind, Name: "memcpyAsync", Stream: ch.id, Bytes: c.bytes, Managed: ch.managed,
 	})
-	done := c.done
 	ch.cpool.Put(c)
-	done.Fire()
+	ch.completed.Add()
 	chanNext(ch)
 }
 
@@ -429,17 +456,11 @@ func (d *Device) TransferDDA(a *sim.Actor, bytes int64, step func(any), state an
 }
 
 type waitCmd struct {
-	on   *sim.Signal
-	done *sim.Signal
+	on *sim.Signal
 }
 
 func (waitCmd) isCommand() {}
 
 // SubmitWait enqueues a dependency barrier: the channel stalls until the
 // given signal fires (the device half of cudaStreamWaitEvent).
-func (ch *Channel) SubmitWait(on *sim.Signal) *sim.Signal {
-	done := sim.NewSignal(ch.dev.eng)
-	ch.q.Put(waitCmd{on: on, done: done})
-	ch.last = done
-	return done
-}
+func (ch *Channel) SubmitWait(on *sim.Signal) { ch.put(waitCmd{on: on}) }

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -93,8 +94,8 @@ func TestChannelRunsKernelAndTraces(t *testing.T) {
 	ch := r.dev.NewChannel()
 	spec := KernelSpec{Name: "k1", Fixed: time.Millisecond}
 	r.run(func(p *sim.Proc) {
-		done := ch.SubmitKernel(spec, 42, false)
-		done.Wait(p)
+		ch.Kernel(spec, 42, false)
+		ch.WaitIdle(p)
 	})
 	kernels := r.tracer.OfKind(trace.KindKernel)
 	if len(kernels) != 1 {
@@ -120,7 +121,8 @@ func TestCCDispatchSlowerThanBase(t *testing.T) {
 		r := newRig(cc)
 		ch := r.dev.NewChannel()
 		r.run(func(p *sim.Proc) {
-			ch.SubmitKernel(KernelSpec{Name: "k", Fixed: time.Microsecond}, 1, false).Wait(p)
+			ch.Kernel(KernelSpec{Name: "k", Fixed: time.Microsecond}, 1, false)
+			ch.WaitIdle(p)
 		})
 		return r.tracer.OfKind(trace.KindKernel)[0].Start
 	}
@@ -134,11 +136,11 @@ func TestStreamFIFOAndCrossStreamOverlapOfCopies(t *testing.T) {
 	ch := r.dev.NewChannel()
 	var ends []sim.Time
 	r.run(func(p *sim.Proc) {
-		d1 := ch.SubmitKernel(KernelSpec{Name: "a", Fixed: 10 * time.Millisecond}, 1, false)
-		d2 := ch.SubmitKernel(KernelSpec{Name: "b", Fixed: 10 * time.Millisecond}, 2, false)
-		d1.Wait(p)
+		ch.Kernel(KernelSpec{Name: "a", Fixed: 10 * time.Millisecond}, 1, false)
+		ch.Kernel(KernelSpec{Name: "b", Fixed: 10 * time.Millisecond}, 2, false)
+		ch.WaitOldest(p)
 		ends = append(ends, p.Now())
-		d2.Wait(p)
+		ch.WaitOldest(p)
 		ends = append(ends, p.Now())
 	})
 	if ends[1] < ends[0]+sim.Time(10*time.Millisecond) {
@@ -150,10 +152,10 @@ func TestStreamFIFOAndCrossStreamOverlapOfCopies(t *testing.T) {
 	chA := r2.dev.NewChannel()
 	chB := r2.dev.NewChannel()
 	end := r2.run(func(p *sim.Proc) {
-		k := chA.SubmitKernel(KernelSpec{Name: "k", Fixed: 50 * time.Millisecond}, 1, false)
-		c := chB.SubmitCopy(trace.KindMemcpyH2D, pcie.H2D, 512<<20, true)
-		k.Wait(p)
-		c.Wait(p)
+		chA.Kernel(KernelSpec{Name: "k", Fixed: 50 * time.Millisecond}, 1, false)
+		chB.Copy(trace.KindMemcpyH2D, pcie.H2D, 512<<20, true)
+		chA.WaitIdle(p)
+		chB.WaitIdle(p)
 	})
 	// 512 MB pinned ~ 10 ms; overlapped with 50 ms kernel -> ~50 ms total.
 	if time.Duration(end) > 55*time.Millisecond {
@@ -238,13 +240,74 @@ func TestMarkerFiresAfterPriorWork(t *testing.T) {
 	ch := r.dev.NewChannel()
 	var markerAt sim.Time
 	r.run(func(p *sim.Proc) {
-		ch.SubmitKernel(KernelSpec{Name: "k", Fixed: 5 * time.Millisecond}, 1, false)
+		ch.Kernel(KernelSpec{Name: "k", Fixed: 5 * time.Millisecond}, 1, false)
 		m := ch.SubmitMarker()
 		m.Wait(p)
 		markerAt = p.Now()
 	})
 	if time.Duration(markerAt) < 5*time.Millisecond {
 		t.Fatalf("marker fired at %v before kernel finished", markerAt)
+	}
+}
+
+// A channel counts its completions: InFlight falls by one as each command
+// completes, in submission order, WaitOldest returns at the oldest one's
+// completion and WaitIdle at the last one's, WaitIdle returns at once on
+// an idle channel, and WaitOldest panics there.
+func TestChannelCountsCompletions(t *testing.T) {
+	r := newRig(false)
+	ch := r.dev.NewChannel()
+	var got []int
+	var at []sim.Time
+	r.run(func(p *sim.Proc) {
+		ch.WaitIdle(p)
+		got = append(got, ch.InFlight())
+		ch.Kernel(KernelSpec{Name: "a", Fixed: 3 * time.Millisecond}, 1, false)
+		ch.Copy(trace.KindMemcpyH2D, pcie.H2D, 1<<20, true)
+		ch.Kernel(KernelSpec{Name: "b", Fixed: time.Millisecond}, 2, false)
+		got = append(got, ch.InFlight())
+		ch.WaitOldest(p)
+		got = append(got, ch.InFlight())
+		at = append(at, p.Now())
+		ch.WaitIdle(p)
+		got = append(got, ch.InFlight())
+		at = append(at, p.Now())
+	})
+	if want := []int{0, 3, 2, 0}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("in flight %v, want %v", got, want)
+	}
+	var ends []sim.Time
+	for e := range r.tracer.All() {
+		ends = append(ends, e.End)
+	}
+	if len(ends) != 3 || at[0] != ends[0] || at[1] != ends[2] {
+		t.Fatalf("waits returned at %v, commands completed at %v", at, ends)
+	}
+	defer func() {
+		if r := recover(); r != "gpu: WaitOldest on idle channel 0" {
+			t.Fatalf("WaitOldest on an idle channel: recovered %v", r)
+		}
+	}()
+	r.run(func(p *sim.Proc) { ch.WaitOldest(p) })
+}
+
+// The signal forms fire at the completion instant of the command they
+// follow.
+func TestSubmitSignalsFireAtCompletion(t *testing.T) {
+	r := newRig(true)
+	ch := r.dev.NewChannel()
+	var k, c *sim.Signal
+	r.run(func(p *sim.Proc) {
+		k = ch.SubmitKernel(KernelSpec{Name: "k", Fixed: time.Millisecond}, 1, false)
+		c = ch.SubmitCopy(trace.KindMemcpyH2D, pcie.H2D, 1<<20, true)
+		c.Wait(p)
+	})
+	var ends []sim.Time
+	for e := range r.tracer.All() {
+		ends = append(ends, e.End)
+	}
+	if len(ends) != 2 || !k.Fired() || k.At() != ends[0] || c.At() != ends[1] {
+		t.Fatalf("signals fired at %v and %v, commands completed at %v", k.At(), c.At(), ends)
 	}
 }
 
@@ -273,7 +336,8 @@ func TestUVMKernelSlowerUnderCC(t *testing.T) {
 		r.run(func(p *sim.Proc) {
 			spec := KernelSpec{Name: "uvmk", Fixed: time.Millisecond,
 				Managed: []ManagedAccess{{Range: rng, Bytes: 64 << 20}}}
-			ch.SubmitKernel(spec, 1, false).Wait(p)
+			ch.Kernel(spec, 1, false)
+			ch.WaitIdle(p)
 		})
 		return r.tracer.OfKind(trace.KindKernel)[0].Duration()
 	}

@@ -172,3 +172,18 @@ func TestPrefillShape(t *testing.T) {
 		t.Fatal("AWQ checkpoint load not faster than BF16")
 	}
 }
+
+// TrainSimulate allocates per run, not per kernel launch: the resnet50
+// run below launches 2,560 kernels in 293 allocations, so a
+// returning per-launch allocation on the cuda or gpu path (one completion
+// signal per kernel cost 2,856) breaks the budget.
+func TestTrainSimulateAllocs(t *testing.T) {
+	m, err := ModelByName("resnet50")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := TrainConfig{Model: m, Batch: 64, Precision: FP32, Mode: "tdx-h100"}
+	if n := testing.AllocsPerRun(5, func() { TrainSimulate(cfg) }); n > 400 {
+		t.Fatalf("TrainSimulate allocates %v times, want at most 400", n)
+	}
+}
